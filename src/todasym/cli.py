@@ -23,6 +23,7 @@ import sys
 from .dynamics import drift_report, integrate, symmetry_map_test
 from .hierarchy import master_field, poisson_tensor
 from .lattice import PhasePoint, hamiltonian
+from .ratpoly import ExponentError
 from .symmetry import SymmetryCandidate, build_Y, determining_residuals
 from .verify import ALL_SUITES, VerifyConfig, run_verify
 
@@ -240,7 +241,10 @@ def cmd_symcheck(args) -> int:
         cand = SymmetryCandidate.from_json_obj(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"bad candidate: {exc}")
-    residual = determining_residuals(cand)
+    try:
+        residual = determining_residuals(cand)
+    except ExponentError as exc:
+        raise BadInput(f"bad candidate: {exc}")
     ok = residual.all_zero()
     if args.json:
         payload = {

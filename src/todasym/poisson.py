@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .fields import VectorField
-from .ratpoly import Polynomial, UniverseError, var_names
+from .ratpoly import Polynomial, UniverseError
 
 
 class PoissonTensor:
@@ -243,8 +243,3 @@ def schouten_self(w: PoissonTensor) -> ThreeTensor:
                 entries[(i, j, k)] = acc
     return ThreeTensor(w.n, entries)
 
-
-def format_entry_label(n: int, i: int, j: int) -> str:
-    """Human-readable name for a tensor slot, e.g. '{a1,b2}'."""
-    names = var_names(n)
-    return "{" + names[i] + "," + names[j] + "}"

@@ -8,6 +8,18 @@ import pytest
 from todasym.fields import VectorField
 from todasym.ratpoly import Polynomial, num_vars
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # fixed examples and no example database: the suite gives the same
+    # result on every run
+    settings.register_profile(
+        "deterministic", derandomize=True, database=None, deadline=None, max_examples=50
+    )
+    settings.load_profile("deterministic")
+
 
 def random_polynomial(rng, n, max_terms=4, max_degree=3, with_t=False):
     """Small random polynomial with coefficients in [-5, 5]."""

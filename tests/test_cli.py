@@ -4,7 +4,7 @@ import json
 
 from todasym.cli import main
 from todasym.symmetry import build_Y, candidate_scaling, candidate_shift
-from todasym.ratpoly import Vars
+from todasym.ratpoly import EXPONENT_LIMIT, Vars
 
 
 def run_cli(capsys, argv):
@@ -284,3 +284,37 @@ def test_symcheck_malformed_exits_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["symcheck", str(path)])
     assert code == 2
     assert "bad candidate" in err
+
+
+def _candidate_with_psi_exponent(tmp_path, exponent):
+    payload = candidate_shift(2).to_json_obj()
+    payload["psi"][0] = [{"coeff": "1", "exps": {"b1": exponent}}]
+    path = tmp_path / "cand.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_symcheck_bool_exponent_exits_two(capsys, tmp_path):
+    path = _candidate_with_psi_exponent(tmp_path, True)
+    code, out, err = run_cli(capsys, ["symcheck", path])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "bad candidate" in err
+
+
+def test_symcheck_exponent_limit_exits_two(capsys, tmp_path):
+    path = _candidate_with_psi_exponent(tmp_path, EXPONENT_LIMIT)
+    code, _, err = run_cli(capsys, ["symcheck", path])
+    assert code == 2
+    assert err.count("\n") == 1 and "bad candidate" in err
+
+
+def test_symcheck_residual_overflow_exits_two(capsys, tmp_path):
+    # a valid exponent whose determining residual (a_1 * psi_1) passes the limit
+    payload = candidate_shift(2).to_json_obj()
+    payload["psi"][0] = [{"coeff": "1", "exps": {"a1": EXPONENT_LIMIT - 1}}]
+    path = tmp_path / "cand.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run_cli(capsys, ["symcheck", str(path)])
+    assert code == 2
+    assert err.count("\n") == 1 and "bad candidate" in err

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from todasym.ratpoly import Polynomial, UniverseError, Vars, var_names
+from todasym.ratpoly import (
+    EXPONENT_LIMIT,
+    ExponentError,
+    Polynomial,
+    UniverseError,
+    Vars,
+    num_vars,
+    var_names,
+)
 from conftest import random_polynomial
 
 
@@ -210,3 +218,67 @@ def test_homogeneity_predicate():
     v = Vars(2)
     assert (v.a(1) * v.b(1) + v.b(2) ** 2).is_homogeneous(2)
     assert not (v.a(1) + v.b(2) ** 2).is_homogeneous()
+
+
+def test_json_rejects_bool_exponent():
+    with pytest.raises(ExponentError):
+        Polynomial.from_json_terms(2, [{"coeff": "1", "exps": {"a1": True}}])
+    assert issubclass(ExponentError, ValueError)
+
+
+def test_constructor_rejects_bool_exponent():
+    with pytest.raises(ExponentError):
+        Polynomial(2, {(True, 0, 0, 0): 1})
+
+
+def test_exponent_limit_rejected_on_input():
+    with pytest.raises(ExponentError):
+        Polynomial.from_json_terms(2, [{"coeff": "1", "exps": {"b2": EXPONENT_LIMIT}}])
+    for slot in range(num_vars(2)):
+        mono = [0] * num_vars(2)
+        mono[slot] = EXPONENT_LIMIT
+        with pytest.raises(ExponentError):
+            Polynomial(2, {tuple(mono): 1})
+
+
+def test_largest_exponent_round_trips():
+    top = EXPONENT_LIMIT - 1
+    mono = (top,) * num_vars(3)
+    p = Polynomial(3, {mono: Fraction(-7, 3)})
+    assert dict(p.terms) == {mono: Fraction(-7, 3)}
+    assert Polynomial.from_json_terms(3, p.to_json_terms()) == p
+    assert p.diff("t").terms == {mono[:-1] + (top - 1,): Fraction(-7 * top, 3)}
+
+
+def test_power_past_limit_raises():
+    v = Vars(2)
+    assert v.a(1) ** (EXPONENT_LIMIT - 1) == Polynomial(2, {(EXPONENT_LIMIT - 1, 0, 0, 0): 1})
+    with pytest.raises(ExponentError):
+        v.a(1) ** EXPONENT_LIMIT
+
+
+def test_product_past_limit_raises():
+    # each factor is valid; their a1 degrees sum to the limit, and the
+    # overflow must not carry into b1 (the neighbouring field)
+    v = Vars(2)
+    high = Polynomial(2, {(EXPONENT_LIMIT - 1, 0, 0, 0): 1}) + v.b(1)
+    with pytest.raises(ExponentError):
+        high * (v.a(1) * v.b(1))
+    half = Polynomial(2, {(EXPONENT_LIMIT // 2, 0, 0, 0): 1})
+    with pytest.raises(ExponentError):
+        half * half
+    below = Polynomial(2, {(EXPONENT_LIMIT // 2 - 1, 0, 0, 0): 1})
+    assert (below * half).terms == {(EXPONENT_LIMIT - 1, 0, 0, 0): 1}
+
+
+def test_terms_view_is_read_only_mapping():
+    v = Vars(2)
+    p = v.a(1) / 2 - v.b(2) ** 3
+    assert len(p.terms) == 2
+    assert p.terms[(1, 0, 0, 0)] == Fraction(1, 2)
+    assert p.terms.get((0, 0, 0, 1)) is None
+    assert p.terms.get((1, 0)) is None
+    assert (0, 0, 3, 0) in p.terms
+    assert sorted(p.terms) == [(0, 0, 3, 0), (1, 0, 0, 0)]
+    with pytest.raises(TypeError):
+        p.terms[(1, 0, 0, 0)] = 1
