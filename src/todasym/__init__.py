@@ -6,11 +6,7 @@ from .lattice import (
     PhasePoint,
     flaschka,
     flow_residuals,
-    gradient,
     hamiltonian,
-    hamiltonian_value,
-    jacobi_matrix,
-    lax_b_matrix,
     symbolic_lax,
     toda_rhs,
 )
@@ -57,11 +53,7 @@ __all__ = [
     "PhasePoint",
     "flaschka",
     "flow_residuals",
-    "gradient",
     "hamiltonian",
-    "hamiltonian_value",
-    "jacobi_matrix",
-    "lax_b_matrix",
     "symbolic_lax",
     "toda_rhs",
     "PoissonTensor",

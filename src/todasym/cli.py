@@ -8,17 +8,20 @@ Subcommands:
     symcheck   test a symmetry candidate from a JSON file
 
 Exit codes: 0 on success, 1 when an identity or threshold fails, 2 for
-usage or input errors.  Defaults may be set through TODA_* environment
-variables (TODA_N, TODA_NMAX, TODA_TEND, TODA_DT, TODA_EPS, TODA_TOL,
-TODA_OUT); explicit flags win over the environment.
+usage or input errors, with one "error:" line.  Defaults may be set through
+TODA_* environment variables (TODA_N, TODA_NMAX, TODA_TEND, TODA_DT,
+TODA_EPS, TODA_TOL, TODA_OUT); each subcommand reads only the variables of
+its own options, and explicit flags win over the environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from contextlib import contextmanager
 
 from .dynamics import drift_report, integrate, symmetry_map_test
 from .hierarchy import master_field, poisson_tensor
@@ -37,8 +40,8 @@ def _env(name: str, default, cast):
         return default
     try:
         return cast(raw)
-    except ValueError as exc:
-        raise SystemExit(f"invalid TODA_{name}={raw!r}: {exc}")
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise BadInput(f"invalid TODA_{name}={raw!r}: {exc}")
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -49,6 +52,31 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     if not sizes:
         raise argparse.ArgumentTypeError("size list is empty")
     return sizes
+
+
+# per subcommand: option -> (TODA_* variable, default, cast); only the
+# subcommand that runs reads its variables
+ENV_DEFAULTS = {
+    "verify": {
+        "n": ("N", (2, 3, 4), _parse_sizes),
+        "nmax": ("NMAX", 4, int),
+        "out": ("OUT", None, str),
+    },
+    "simulate": {
+        "tend": ("TEND", 10.0, float),
+        "dt": ("DT", 1e-3, float),
+        "nmax": ("NMAX", 4, int),
+        "out": ("OUT", None, str),
+        "tol": ("TOL", 1e-8, float),
+        "eps": ("EPS", 1e-4, float),
+    },
+    "hierarchy": {
+        "n": ("N", 3, int),
+        "nmax": ("NMAX", 3, int),
+        "out": ("OUT", None, str),
+    },
+    "symcheck": {},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,28 +90,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--n",
         type=_parse_sizes,
-        default=_env("N", (2, 3, 4), _parse_sizes),
         help="comma-separated lattice sizes (default 2,3,4)",
     )
-    p_verify.add_argument(
-        "--nmax", type=int, default=_env("NMAX", 4, int), help="top hierarchy index"
-    )
+    p_verify.add_argument("--nmax", type=int, help="top hierarchy index")
     p_verify.add_argument(
         "--suites",
         default=",".join(ALL_SUITES),
         help="comma-separated suite names (default: all)",
     )
-    p_verify.add_argument("--out", default=_env("OUT", None, str), help="write the JSON report here")
+    p_verify.add_argument("--out", help="write the JSON report here")
     p_verify.add_argument("--json", action="store_true", help="print JSON instead of a table")
 
     p_sim = sub.add_parser("simulate", help="integrate the Toda flow")
     p_sim.add_argument("init", help="JSON file with {a, b[, t]} or {q, p}")
-    p_sim.add_argument("--tend", type=float, default=_env("TEND", 10.0, float))
-    p_sim.add_argument("--dt", type=float, default=_env("DT", 1e-3, float))
-    p_sim.add_argument(
-        "--nmax", type=int, default=_env("NMAX", 4, int), help="drift is tracked for H_1..H_nmax"
-    )
-    p_sim.add_argument("--out", default=_env("OUT", None, str), help="CSV trajectory path")
+    p_sim.add_argument("--tend", type=float)
+    p_sim.add_argument("--dt", type=float)
+    p_sim.add_argument("--nmax", type=int, help="drift is tracked for H_1..H_nmax")
+    p_sim.add_argument("--out", help="CSV trajectory path")
     p_sim.add_argument("--report", default=None, help="write the drift report JSON here")
     p_sim.add_argument(
         "--assert",
@@ -91,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 1 unless all drifts stay below --tol",
     )
-    p_sim.add_argument("--tol", type=float, default=_env("TOL", 1e-8, float))
+    p_sim.add_argument("--tol", type=float)
     p_sim.add_argument(
         "--symmetry",
         type=int,
@@ -99,13 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="also measure the map defect of Y_K along this trajectory's start",
     )
-    p_sim.add_argument("--eps", type=float, default=_env("EPS", 1e-4, float))
+    p_sim.add_argument("--eps", type=float)
     p_sim.add_argument("--json", action="store_true", help="print the drift report as JSON")
 
     p_hier = sub.add_parser("hierarchy", help="emit H_m, X_k and w_k as JSON")
-    p_hier.add_argument("--n", type=int, default=_env("N", 3, int), help="lattice size")
-    p_hier.add_argument("--nmax", type=int, default=_env("NMAX", 3, int))
-    p_hier.add_argument("--out", default=_env("OUT", None, str))
+    p_hier.add_argument("--n", type=int, help="lattice size")
+    p_hier.add_argument("--nmax", type=int)
+    p_hier.add_argument("--out")
 
     p_sym = sub.add_parser("symcheck", help="check a symmetry candidate JSON file")
     p_sym.add_argument("candidate", help="JSON file with {tau, phi, psi}")
@@ -119,6 +142,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest, (name, default, cast) in ENV_DEFAULTS[args.command].items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, _env(name, default, cast))
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "simulate":
@@ -135,6 +161,16 @@ def main(argv=None) -> int:
 
 class BadInput(Exception):
     """Unusable configuration or input file."""
+
+
+@contextmanager
+def _output(path: str):
+    """Open path for writing; failing to open or write it is bad input."""
+    try:
+        with open(path, "w", newline="") as handle:
+            yield handle
+    except OSError as exc:
+        raise BadInput(f"cannot write {path}: {exc}")
 
 
 def _load_json(path: str):
@@ -156,7 +192,7 @@ def cmd_verify(args) -> int:
     report = run_verify(config)
     rendered = report.to_json_str()
     if args.out:
-        with open(args.out, "w") as handle:
+        with _output(args.out) as handle:
             handle.write(rendered + "\n")
     print(rendered if args.json else report.to_table())
     return 0 if report.ok else CHECK_ERROR
@@ -168,8 +204,12 @@ def cmd_simulate(args) -> int:
         z0 = PhasePoint.from_json_obj(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"bad initial data: {exc}")
-    if args.dt <= 0 or args.tend < 0:
-        raise BadInput("need dt > 0 and tend >= 0")
+    if not all(map(math.isfinite, (args.tend, args.dt, args.tol, args.eps))):
+        raise BadInput("--tend, --dt, --tol and --eps must be finite")
+    if args.dt <= 0 or args.tend < 0 or args.eps <= 0:
+        raise BadInput("need dt > 0, tend >= 0 and eps > 0")
+    if args.symmetry is not None and args.symmetry < -1:
+        raise BadInput(f"symmetry index must be >= -1, got {args.symmetry}")
     try:
         traj = integrate(z0, args.tend, args.dt)
     except RuntimeError as exc:
@@ -177,10 +217,10 @@ def cmd_simulate(args) -> int:
         return CHECK_ERROR
     report = drift_report(traj, max(1, args.nmax))
     if args.out:
-        with open(args.out, "w", newline="") as handle:
+        with _output(args.out) as handle:
             traj.write_csv(handle)
     if args.report:
-        with open(args.report, "w") as handle:
+        with _output(args.report) as handle:
             json.dump(report.to_json_obj(), handle, indent=2)
             handle.write("\n")
     payload = report.to_json_obj()
@@ -229,7 +269,7 @@ def cmd_hierarchy(args) -> int:
     }
     rendered = json.dumps(payload, indent=2)
     if args.out:
-        with open(args.out, "w") as handle:
+        with _output(args.out) as handle:
             handle.write(rendered + "\n")
     print(rendered)
     return 0

@@ -118,14 +118,10 @@ class VectorField:
         """Directional derivative sum_i V^i df/dx_i over phase variables."""
         if f.n != self.n:
             raise UniverseError(f"universe mismatch: N={self.n} vs N={f.n}")
-        out = Polynomial.zero(self.n)
-        for idx, comp in enumerate(self.components()):
-            if comp.is_zero():
-                continue
-            part = f.diff_index(idx)
-            if not part.is_zero():
-                out = out + comp * part
-        return out
+        return Polynomial.dot(
+            self.n,
+            ((comp, f.diff_index(idx)) for idx, comp in enumerate(self.components()) if comp),
+        )
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """Lie bracket [V, W]^i = V(W^i) - W(V^i), componentwise."""

@@ -124,7 +124,7 @@ def poisson_tensor(k: int, n: int) -> PoissonTensor:
             a_idx = i - 1
             entries[(a_idx, (n - 1) + (i - 1))] = -v.a(i)
             entries[(a_idx, (n - 1) + i)] = v.a(i)
-        return PoissonTensor.from_upper_entries(n, entries)
+        return PoissonTensor(n, entries)
     # source tensor w_m and field X_{k-m}; scale (m - (k-m) - 2) is nonzero
     m = 2 if k % 2 == 0 else 3
     if k <= 3:

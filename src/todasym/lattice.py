@@ -95,27 +95,6 @@ def flaschka(q: Sequence[float], p: Sequence[float]) -> PhasePoint:
     return PhasePoint(a, b, 0.0)
 
 
-def jacobi_matrix(point: PhasePoint) -> np.ndarray:
-    """Dense symmetric tridiagonal L for a numeric phase point."""
-    n = point.n
-    mat = np.zeros((n, n))
-    mat[np.arange(n), np.arange(n)] = point.b
-    off = np.arange(n - 1)
-    mat[off, off + 1] = point.a
-    mat[off + 1, off] = point.a
-    return mat
-
-
-def lax_b_matrix(point: PhasePoint) -> np.ndarray:
-    """Skew-symmetric B with +a_i above the diagonal, -a_i below."""
-    n = point.n
-    mat = np.zeros((n, n))
-    off = np.arange(n - 1)
-    mat[off, off + 1] = point.a
-    mat[off + 1, off] = np.negative(point.a)
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # symbolic Lax matrices and Hamiltonians
 # ---------------------------------------------------------------------------
@@ -156,20 +135,9 @@ def symbolic_lax_b(n: int) -> SymbolicMatrix:
 
 
 def matmul_symbolic(left: SymbolicMatrix, right: SymbolicMatrix) -> SymbolicMatrix:
-    size = len(left)
-    zero = Polynomial.zero(left[0][0].n)
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = zero
-            for k in range(size):
-                p, q = left[i][k], right[k][j]
-                if not p.is_zero() and not q.is_zero():
-                    acc = acc + p * q
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+    n = left[0][0].n
+    cols = tuple(zip(*right))
+    return tuple(tuple(Polynomial.dot(n, zip(row, col)) for col in cols) for row in left)
 
 
 @lru_cache(maxsize=None)
@@ -189,13 +157,6 @@ def hamiltonian(m: int, n: int) -> Polynomial:
     for i in range(n):
         trace = trace + power[i][i]
     return trace / m
-
-
-def gradient(h: Polynomial, n: int) -> tuple[Polynomial, ...]:
-    """Phase-space gradient (d/da_1..d/da_{N-1}, d/db_1..d/db_N)."""
-    if h.n != n:
-        raise ValueError(f"polynomial lives over N={h.n}, expected N={n}")
-    return tuple(h.diff_index(idx) for idx in range(2 * n - 1))
 
 
 @lru_cache(maxsize=None)
@@ -240,21 +201,3 @@ def flow_residuals(a, b, adot, bdot) -> tuple[list, list]:
             r = r + 2 * (a[j - 1] * a[j - 1])
         deltas.append(r)
     return gammas, deltas
-
-
-def hamiltonian_value(point: PhasePoint, m: int, method: str = "eigen") -> float:
-    """Numeric H_m at a phase point.
-
-    method="eigen" sums the m-th powers of the Jacobi spectrum; "power"
-    takes the trace of the dense m-th matrix power.  The two agree to
-    rounding and are cross-checked in the tests.
-    """
-    if m < 1:
-        raise ValueError(f"Hamiltonian index must be >= 1, got {m}")
-    mat = jacobi_matrix(point)
-    if method == "eigen":
-        eigs = np.linalg.eigvalsh(mat)
-        return float(np.sum(eigs**m) / m)
-    if method == "power":
-        return float(np.trace(np.linalg.matrix_power(mat, m)) / m)
-    raise ValueError(f"unknown method {method!r}")

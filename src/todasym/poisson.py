@@ -1,111 +1,107 @@
 """Antisymmetric 2-tensors with polynomial entries and their calculus.
 
-A PoissonTensor is a (2N-1)x(2N-1) antisymmetric matrix w of Polynomials
-indexed by the phase directions (a-block then b-block).  It induces
+A PoissonTensor w over the 2N-1 phase directions (a-block then b-block)
+stores only its nonzero upper entries w^ij, i < j; the others follow from
+w^ji = -w^ij and w^ii = 0.  It induces
 
-    bracket        {f, g}  = sum_ij w^ij  df/dx_i  dg/dx_j,
-    field of h     X_h^i   = sum_j  w^ij  dh/dx_j,
+    field of h     X_h^r   = sum_l  w^rl  d_l h,
+    bracket        {f, g}  = X_g(f) = sum_ij  w^ij  d_i f  d_j g,
 
 and w is Poisson (the bracket satisfies Jacobi) exactly when its Schouten
-self-bracket
+self-bracket vanishes identically.  On a sorted triple i < j < k it is
 
-    [w, w]^ijk = sum_l ( w^il d_l w^jk + w^jl d_l w^ki + w^kl d_l w^ij )
+    [w, w]^ijk = X_{w^jk}^i - X_{w^ik}^j + X_{w^ij}^k,
 
-vanishes identically.  The Lie derivative along an autonomous field X is
+the fields of the three entries w^jk, w^ik, w^ij read off rows i, j and k.
+The Lie derivative along an autonomous field X is
 
     (L_X w)^ij = sum_k ( X^k d_k w^ij - (d_k X^i) w^kj - (d_k X^j) w^ik ).
 
-All index sums run over the 2N-1 phase directions; nothing here assumes a
-particular tensor beyond antisymmetry, which the constructor enforces.
+Each field component, Schouten slot and Lie derivative entry is one
+``Polynomial.dot`` over the nonzero entries of the rows involved, and each
+entry's gradient is computed once per call.  All index sums run over the
+2N-1 phase directions; nothing here assumes a particular tensor beyond
+antisymmetry, which the upper-entry storage builds in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping
 
 from .fields import VectorField
 from .ratpoly import Polynomial, UniverseError
 
+Row = dict[int, Polynomial]
+
 
 class PoissonTensor:
-    """Immutable antisymmetric matrix of polynomials over one lattice size."""
+    """Immutable antisymmetric 2-tensor: its nonzero entries w^ij with i < j.
 
-    __slots__ = ("n", "mat")
+    ``PoissonTensor(n, {(i, j): w^ij})`` drops zero entries; ``upper`` holds
+    the rest in index order.
+    """
 
-    def __init__(self, n: int, mat):
+    __slots__ = ("n", "upper")
+
+    def __init__(self, n: int, upper: Mapping[tuple[int, int], Polynomial]):
         dim = 2 * n - 1
-        if len(mat) != dim or any(len(row) != dim for row in mat):
-            raise ValueError(f"tensor must be {dim}x{dim} for lattice size {n}")
-        frozen = tuple(tuple(row) for row in mat)
-        for i in range(dim):
-            for j in range(i, dim):
-                entry = frozen[i][j]
-                if entry.n != n:
-                    raise UniverseError("entry universe does not match tensor size")
-                if not (entry + frozen[j][i]).is_zero():
-                    raise ValueError(f"tensor is not antisymmetric at ({i}, {j})")
+        kept: dict[tuple[int, int], Polynomial] = {}
+        for i, j in sorted(upper):
+            if not 0 <= i < j < dim:
+                raise ValueError(f"upper entry index ({i}, {j}) out of range")
+            poly = upper[(i, j)]
+            if poly.n != n:
+                raise UniverseError("entry universe does not match tensor size")
+            if poly:
+                kept[(i, j)] = poly
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mat", frozen)
+        object.__setattr__(self, "upper", kept)
 
     def __setattr__(self, name, value):
         raise AttributeError("PoissonTensor is immutable")
 
     @classmethod
-    def from_upper_entries(
-        cls, n: int, entries: Mapping[tuple[int, int], Polynomial]
-    ) -> "PoissonTensor":
-        """Build from entries {(i, j): w^ij} with i < j; the rest follows."""
-        dim = 2 * n - 1
-        zero = Polynomial.zero(n)
-        rows = [[zero] * dim for _ in range(dim)]
-        for (i, j), poly in entries.items():
-            if not 0 <= i < j < dim:
-                raise ValueError(f"upper entry index ({i}, {j}) out of range")
-            rows[i][j] = poly
-            rows[j][i] = -poly
-        return cls(n, rows)
-
-    @classmethod
     def zero(cls, n: int) -> "PoissonTensor":
-        return cls.from_upper_entries(n, {})
+        return cls(n, {})
 
     def entry(self, i: int, j: int) -> Polynomial:
-        return self.mat[i][j]
+        """w^ij for any index pair."""
+        if i > j:
+            return -self.entry(j, i)
+        poly = self.upper.get((i, j))
+        return Polynomial.zero(self.n) if poly is None else poly
 
     def dim(self) -> int:
         return 2 * self.n - 1
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.mat for p in row)
+        return not self.upper
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PoissonTensor):
             return NotImplemented
-        return self.n == other.n and self.mat == other.mat
+        return self.n == other.n and self.upper == other.upper
 
     __hash__ = None
 
     def __add__(self, other: "PoissonTensor") -> "PoissonTensor":
         self._check(other)
-        return PoissonTensor(
-            self.n,
-            [[p + q for p, q in zip(r1, r2)] for r1, r2 in zip(self.mat, other.mat)],
-        )
+        out = dict(self.upper)
+        for key, poly in other.upper.items():
+            out[key] = out[key] + poly if key in out else poly
+        return PoissonTensor(self.n, out)
 
     def __sub__(self, other: "PoissonTensor") -> "PoissonTensor":
-        self._check(other)
-        return PoissonTensor(
-            self.n,
-            [[p - q for p, q in zip(r1, r2)] for r1, r2 in zip(self.mat, other.mat)],
-        )
+        return self + (-other)
 
     def __neg__(self) -> "PoissonTensor":
         return self.scale(-1)
 
     def scale(self, c) -> "PoissonTensor":
-        return PoissonTensor(self.n, [[p.scale(c) for p in row] for row in self.mat])
+        return PoissonTensor(self.n, {key: p.scale(c) for key, p in self.upper.items()})
 
     def __mul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -124,36 +120,43 @@ class PoissonTensor:
             raise UniverseError(f"universe mismatch: N={self.n} vs N={other.n}")
 
     def to_json_obj(self) -> dict:
+        """Dense form: the full (2N-1)x(2N-1) matrix, both triangles."""
+        dim = self.dim()
         return {
             "N": self.n,
-            "matrix": [[p.to_json_terms() for p in row] for row in self.mat],
+            "matrix": [[self.entry(i, j).to_json_terms() for j in range(dim)] for i in range(dim)],
         }
 
     @classmethod
     def from_json_obj(cls, obj) -> "PoissonTensor":
+        """Read the dense form, rejecting a wrong shape or a non-antisymmetric matrix."""
         n = obj["N"]
         rows = [
             [Polynomial.from_json_terms(n, item) for item in row]
             for row in obj["matrix"]
         ]
-        return cls(n, rows)
+        dim = 2 * n - 1
+        if len(rows) != dim or any(len(row) != dim for row in rows):
+            raise ValueError(f"tensor must be {dim}x{dim} for lattice size {n}")
+        for i in range(dim):
+            for j in range(i, dim):
+                if not (rows[i][j] + rows[j][i]).is_zero():
+                    raise ValueError(f"tensor is not antisymmetric at ({i}, {j})")
+        return cls(n, {(i, j): rows[i][j] for i, j in combinations(range(dim), 2)})
 
 
 @dataclass(frozen=True)
 class ThreeTensor:
-    """Fully antisymmetric 3-tensor, stored on strictly increasing triples."""
+    """Fully antisymmetric 3-tensor: its nonzero entries on increasing triples."""
 
     n: int
     entries: Mapping[tuple[int, int, int], Polynomial]
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.entries.values())
+        return not self.entries
 
     def first_nonzero(self) -> tuple[tuple[int, int, int], Polynomial] | None:
-        for key in sorted(self.entries):
-            if not self.entries[key].is_zero():
-                return key, self.entries[key]
-        return None
+        return min(self.entries.items(), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -161,37 +164,41 @@ class ThreeTensor:
 # ---------------------------------------------------------------------------
 
 
+def _gradient(p: Polynomial, dim: int) -> Row:
+    """The nonzero partials d_l p over the phase directions, by l."""
+    return {l: d for l in range(dim) if (d := p.diff_index(l))}
+
+
+def _rows_and_columns(w: PoissonTensor) -> tuple[list[Row], list[Row]]:
+    """Row r as {l: w^rl} and column r as {l: w^lr}, over the nonzero entries."""
+    dim = w.dim()
+    rows: list[Row] = [{} for _ in range(dim)]
+    cols: list[Row] = [{} for _ in range(dim)]
+    for (i, j), poly in w.upper.items():
+        neg = -poly
+        rows[i][j] = cols[j][i] = poly
+        rows[j][i] = cols[i][j] = neg
+    return rows, cols
+
+
+def _contract(row: Row, grad: Row) -> list[tuple[Polynomial, Polynomial]]:
+    """The pairs (row[l], grad[l]) whose sum is sum_l row^l d_l h."""
+    return [(row[l], d) for l, d in grad.items() if l in row]
+
+
 def hamiltonian_field(w: PoissonTensor, h: Polynomial) -> VectorField:
     """Hamiltonian vector field w . grad h."""
     if h.n != w.n:
         raise UniverseError("polynomial and tensor live over different sizes")
-    dim = w.dim()
-    grads = [h.diff_index(j) for j in range(dim)]
-    comps = []
-    for i in range(dim):
-        acc = Polynomial.zero(w.n)
-        for j in range(dim):
-            entry = w.mat[i][j]
-            if entry.is_zero() or grads[j].is_zero():
-                continue
-            acc = acc + entry * grads[j]
-        comps.append(acc)
+    grad = _gradient(h, w.dim())
+    rows, _ = _rows_and_columns(w)
+    comps = [Polynomial.dot(w.n, _contract(row, grad)) for row in rows]
     return VectorField.from_components(w.n, comps)
 
 
 def poisson_bracket(w: PoissonTensor, f: Polynomial, g: Polynomial) -> Polynomial:
     """{f, g} under w."""
-    field = hamiltonian_field(w, g)
-    dim = w.dim()
-    acc = Polynomial.zero(w.n)
-    for i in range(dim):
-        comp = field.components()[i]
-        if comp.is_zero():
-            continue
-        part = f.diff_index(i)
-        if not part.is_zero():
-            acc = acc + part * comp
-    return acc
+    return hamiltonian_field(w, g).apply(f)
 
 
 def lie_derivative(x: VectorField, w: PoissonTensor) -> PoissonTensor:
@@ -202,44 +209,36 @@ def lie_derivative(x: VectorField, w: PoissonTensor) -> PoissonTensor:
         raise ValueError("Lie derivative requires an autonomous field")
     dim = w.dim()
     comps = x.components()
-    zero = Polynomial.zero(w.n)
+    field = {k: comp for k, comp in enumerate(comps) if comp}
+    dx = [_gradient(comp, dim) for comp in comps]
+    grads = {key: _gradient(poly, dim) for key, poly in w.upper.items()}
+    rows, cols = _rows_and_columns(w)
     out: dict[tuple[int, int], Polynomial] = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            acc = zero
-            w_ij = w.mat[i][j]
-            for k in range(dim):
-                if not comps[k].is_zero():
-                    d = w_ij.diff_index(k)
-                    if not d.is_zero():
-                        acc = acc + comps[k] * d
-                di = comps[i].diff_index(k)
-                if not di.is_zero() and not w.mat[k][j].is_zero():
-                    acc = acc - di * w.mat[k][j]
-                dj = comps[j].diff_index(k)
-                if not dj.is_zero() and not w.mat[i][k].is_zero():
-                    acc = acc - dj * w.mat[i][k]
-            out[(i, j)] = acc
-    return PoissonTensor.from_upper_entries(w.n, out)
+    for i, j in combinations(range(dim), 2):
+        # -(d_k X^i) w^kj = (d_k X^i) w^jk and -(d_k X^j) w^ik = (d_k X^j) w^ki
+        pairs = (
+            _contract(field, grads.get((i, j), {}))
+            + _contract(rows[j], dx[i])
+            + _contract(cols[i], dx[j])
+        )
+        out[(i, j)] = Polynomial.dot(w.n, pairs)
+    return PoissonTensor(w.n, out)
 
 
 def schouten_self(w: PoissonTensor) -> ThreeTensor:
     """Schouten self-bracket [w, w]; identically zero iff w is Poisson."""
     dim = w.dim()
+    grads = {key: _gradient(poly, dim) for key, poly in w.upper.items()}
+    rows, cols = _rows_and_columns(w)
     entries: dict[tuple[int, int, int], Polynomial] = {}
-    zero = Polynomial.zero(w.n)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                acc = zero
-                for l in range(dim):
-                    for (r, pair) in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
-                        w_rl = w.mat[r][l]
-                        if w_rl.is_zero():
-                            continue
-                        d = w.mat[pair[0]][pair[1]].diff_index(l)
-                        if not d.is_zero():
-                            acc = acc + w_rl * d
-                entries[(i, j, k)] = acc
+    for i, j, k in combinations(range(dim), 3):
+        # -X_{w^ik}^j = sum_l w^lj d_l w^ik reads column j
+        pairs = (
+            _contract(rows[i], grads.get((j, k), {}))
+            + _contract(cols[j], grads.get((i, k), {}))
+            + _contract(rows[k], grads.get((i, j), {}))
+        )
+        bracket = Polynomial.dot(w.n, pairs)
+        if bracket:
+            entries[(i, j, k)] = bracket
     return ThreeTensor(w.n, entries)
-

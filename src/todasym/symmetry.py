@@ -148,14 +148,7 @@ class DeterminingResidual:
 
 def total_derivative(f: Polynomial) -> Polynomial:
     """Derivative of f(a, b, t) along solutions: d/dt with the flow substituted."""
-    n = f.n
-    flow = toda_rhs(n)
-    out = f.diff("t")
-    for idx, comp in enumerate(flow.components()):
-        part = f.diff_index(idx)
-        if not part.is_zero():
-            out = out + comp * part
-    return out
+    return f.diff("t") + toda_rhs(f.n).apply(f)
 
 
 def determining_residuals(cand: SymmetryCandidate) -> DeterminingResidual:

@@ -399,11 +399,8 @@ def _tensor_scaling_checks(n: int) -> list[CheckResult]:
 
 
 def _tensor_witness(diff: PoissonTensor) -> str | None:
-    dim = diff.dim()
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if not diff.mat[i][j].is_zero():
-                return f"entry ({i},{j}): {_poly_witness(diff.mat[i][j])}"
+    for (i, j), entry in diff.upper.items():
+        return f"entry ({i},{j}): {_poly_witness(entry)}"
     return None
 
 
@@ -509,19 +506,11 @@ def mutation_smoke(n: int) -> list[tuple[str, bool]]:
             label = f"X1 component {idx} term {Polynomial(n, {mono: comp.terms[mono]})}"
             results.append((label, not _ladder_checks_pass(mutant)))
     w1 = poisson_tensor(1, n)
-    dim = w1.dim()
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            entry = w1.mat[i][j]
-            for mono in sorted(entry.terms):
-                entries = {
-                    (r, c): w1.mat[r][c]
-                    for r in range(dim)
-                    for c in range(r + 1, dim)
-                    if not w1.mat[r][c].is_zero()
-                }
-                entries[(i, j)] = _mutate_polynomial(entry, mono)
-                mutant_w = PoissonTensor.from_upper_entries(n, entries)
-                label = f"w1 entry ({i},{j}) term {Polynomial(n, {mono: entry.terms[mono]})}"
-                results.append((label, not _w1_checks_pass(mutant_w)))
+    for (i, j), entry in w1.upper.items():
+        for mono in sorted(entry.terms):
+            entries = dict(w1.upper)
+            entries[(i, j)] = _mutate_polynomial(entry, mono)
+            mutant_w = PoissonTensor(n, entries)
+            label = f"w1 entry ({i},{j}) term {Polynomial(n, {mono: entry.terms[mono]})}"
+            results.append((label, not _w1_checks_pass(mutant_w)))
     return results

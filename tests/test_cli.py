@@ -1,6 +1,9 @@
 """Command line behavior: subcommands, exit codes, determinism, env defaults."""
 
+import hashlib
 import json
+
+import pytest
 
 from todasym.cli import main
 from todasym.symmetry import build_Y, candidate_scaling, candidate_shift
@@ -83,6 +86,27 @@ def test_verify_flag_beats_env(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["config"]["n_max"] == 2
+
+
+# sha256 of the exact stdout bytes; any change to a report's content or
+# layout shows up here
+PINNED_STDOUT = [
+    (
+        ["verify", "--n", "2,3,4", "--nmax", "4", "--json"],
+        "9e1e264d900d413cf45525181de14d6231b9fa9efb9a935192a3e33587f6e25a",
+    ),
+    (
+        ["hierarchy", "--n", "4", "--nmax", "4"],
+        "178fb76dc488541965384eee8056894b898e47e040b8557511a11b12c38d10fd",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=["verify", "hierarchy"])
+def test_report_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- simulate ----------------------------------------------------------------------
@@ -175,6 +199,77 @@ def test_simulate_symmetry_map_option(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["symmetry_map"]["k"] == 0
     assert payload["symmetry_map"]["defect"] < 1e-4
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--dt", "nan"],
+        ["--tend", "inf"],
+        ["--eps", "nan"],
+        ["--symmetry", "-3"],
+        ["--assert", "--tol", "nan"],
+    ],
+    ids=["dt-nan", "tend-inf", "eps-nan", "symmetry-below-minus-one", "tol-nan"],
+)
+def test_simulate_bad_number_exits_two(capsys, tmp_path, extra):
+    init = write_init(tmp_path, {"a": [0.4], "b": [0.1, -0.2]})
+    code, out, err = run_cli(
+        capsys, ["simulate", init, "--tend", "0.1", "--dt", "0.01", *extra]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "2", "--nmax", "1", "--suites", "transcription", "--out", "{missing}"],
+        ["simulate", "{init}", "--tend", "0.1", "--dt", "0.01", "--out", "{missing}"],
+        ["simulate", "{init}", "--tend", "0.1", "--dt", "0.01", "--report", "{missing}"],
+        ["hierarchy", "--n", "2", "--nmax", "1", "--out", "{missing}"],
+    ],
+    ids=["verify-out", "simulate-out", "simulate-report", "hierarchy-out"],
+)
+def test_output_into_missing_directory_exits_two(capsys, tmp_path, argv):
+    init = write_init(tmp_path, {"a": [0.4], "b": [0.1, -0.2]})
+    missing = str(tmp_path / "absent" / "file")
+    argv = [arg.format(init=init, missing=missing) for arg in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, value", [("N", "2,3"), ("DT", "abc")])
+def test_verify_ignores_other_subcommands_env(capsys, monkeypatch, name, value):
+    # TODA_N=2,3 is no hierarchy size, and verify has no --dt
+    monkeypatch.setenv(f"TODA_{name}", value)
+    code, out, _ = run_cli(
+        capsys, ["verify", "--n", "2", "--nmax", "1", "--suites", "transcription", "--json"]
+    )
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, name, value",
+    [
+        (["hierarchy"], "N", "2,3"),
+        (["verify", "--suites", "transcription"], "N", "two"),
+        (["verify", "--suites", "transcription"], "NMAX", "4.5"),
+        (["simulate", "{init}"], "DT", "abc"),
+    ],
+    ids=["hierarchy-N", "verify-N", "verify-NMAX", "simulate-DT"],
+)
+def test_bad_env_value_exits_two(capsys, monkeypatch, tmp_path, argv, name, value):
+    init = write_init(tmp_path, {"a": [0.4], "b": [0.1, -0.2]})
+    monkeypatch.setenv(f"TODA_{name}", value)
+    code, out, err = run_cli(capsys, [arg.format(init=init) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: invalid TODA_{name}=") and err.count("\n") == 1
 
 
 # -- hierarchy ----------------------------------------------------------------------

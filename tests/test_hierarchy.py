@@ -198,7 +198,7 @@ def test_w1_unique_linear_tensor_oracle():
             entry = entry + mono.scale(solution[idx])
             idx += 1
         rebuilt[(i, j)] = entry
-    assert PoissonTensor.from_upper_entries(n, rebuilt) == poisson_tensor(1, n)
+    assert PoissonTensor(n, rebuilt) == poisson_tensor(1, n)
 
 
 def test_w1_entries_and_flow():

@@ -10,17 +10,14 @@ from todasym.lattice import (
     PhasePoint,
     flaschka,
     flow_residuals,
-    gradient,
     hamiltonian,
-    hamiltonian_value,
-    jacobi_matrix,
-    lax_b_matrix,
     matmul_symbolic,
     symbolic_lax,
     symbolic_lax_b,
     toda_rhs,
 )
 from todasym.ratpoly import Polynomial, Vars
+from lattice_helpers import gradient, hamiltonian_value, jacobi_matrix, lax_b_matrix
 
 
 # -- Flaschka map -----------------------------------------------------------

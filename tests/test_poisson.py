@@ -1,9 +1,11 @@
 """Antisymmetric tensors: brackets, Lie derivative, Schouten certificate."""
 
+from itertools import combinations
+
 import pytest
 
 from todasym.fields import VectorField
-from todasym.lattice import gradient, hamiltonian
+from todasym.lattice import hamiltonian
 from todasym.poisson import (
     PoissonTensor,
     hamiltonian_field,
@@ -13,22 +15,31 @@ from todasym.poisson import (
 )
 from todasym.ratpoly import Polynomial, Vars
 from todasym.hierarchy import master_field, poisson_tensor
-from conftest import random_polynomial
+from conftest import random_field, random_polynomial
+import reference_poisson as ref
+from lattice_helpers import gradient
 
 
 def test_constructor_rejects_non_antisymmetric():
+    # the dense JSON form is the only input that can break antisymmetry
     v = Vars(2)
-    rows = [[v.zero, v.a(1), v.zero] for _ in range(3)]
+    rows = [[[], v.a(1).to_json_terms(), []] for _ in range(3)]
     with pytest.raises(ValueError, match="antisymmetric"):
-        PoissonTensor(2, rows)
+        PoissonTensor.from_json_obj({"N": 2, "matrix": rows})
+    with pytest.raises(ValueError, match="3x3"):
+        PoissonTensor.from_json_obj({"N": 2, "matrix": rows[:2]})
 
 
 def test_from_upper_entries_mirrors():
     v = Vars(2)
-    w = PoissonTensor.from_upper_entries(2, {(0, 1): v.a(1)})
+    w = PoissonTensor(2, {(0, 1): v.a(1), (1, 2): v.zero})
     assert w.entry(0, 1) == v.a(1)
     assert w.entry(1, 0) == -v.a(1)
     assert w.entry(0, 0).is_zero()
+    assert w.upper == {(0, 1): v.a(1)}
+    for key in ((1, 0), (1, 1), (0, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            PoissonTensor(2, {key: v.a(1)})
 
 
 def test_hamiltonian_field_is_matrix_action():
@@ -101,7 +112,7 @@ def test_lie_derivative_is_a_derivation_of_the_bracket(rng):
 
 def test_schouten_constant_tensor_vanishes():
     v = Vars(3)
-    w = PoissonTensor.from_upper_entries(
+    w = PoissonTensor(
         3, {(0, 1): v.one, (2, 3): v.const(5), (1, 4): v.const(-2)}
     )
     assert schouten_self(w).is_zero()
@@ -111,7 +122,7 @@ def test_schouten_detects_non_poisson():
     # {a1,b1} = a1, {a1,b2} = -b2, {b1,b2} = b1 violates Jacobi: each cyclic
     # term of the self-bracket on (0,1,2) contributes one variable
     v = Vars(2)
-    w = PoissonTensor.from_upper_entries(
+    w = PoissonTensor(
         2, {(0, 1): v.a(1), (0, 2): -v.b(2), (1, 2): v.b(1)}
     )
     bracket3 = schouten_self(w)
@@ -137,3 +148,45 @@ def test_tensor_json_round_trip():
     blob = json.dumps(w2.to_json_obj())
     again = PoissonTensor.from_json_obj(json.loads(blob))
     assert again == w2
+
+
+def random_tensor(rng, n):
+    """Antisymmetric, in general not Poisson, with about a third of the entries zero."""
+    upper = {
+        key: random_polynomial(rng, n, max_terms=3, max_degree=2)
+        for key in combinations(range(2 * n - 1), 2)
+        if rng.random() < 0.7
+    }
+    return PoissonTensor(n, upper)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sparse_calculus_matches_dense_reference(rng, n):
+    nonzero_slots = 0
+    for _ in range(4):
+        w = random_tensor(rng, n)
+        h = random_polynomial(rng, n)
+        assert hamiltonian_field(w, h) == ref.hamiltonian_field(w, h)
+        x = random_field(rng, n)
+        assert lie_derivative(x, w) == ref.lie_derivative(x, w)
+        dense = ref.schouten_self(w).entries
+        nonzero = {key: p for key, p in dense.items() if p}
+        bracket3 = schouten_self(w)
+        assert bracket3.entries == nonzero
+        assert bracket3.first_nonzero() == min(nonzero.items(), default=None)
+        nonzero_slots += len(nonzero)
+    assert nonzero_slots, "no random tensor failed Jacobi, so no slot was compared"
+
+
+def test_sparse_calculus_matches_dense_reference_on_the_tower():
+    n = 3
+    for k in (1, 2, 3):
+        w = poisson_tensor(k, n)
+        assert hamiltonian_field(w, hamiltonian(3, n)) == ref.hamiltonian_field(
+            w, hamiltonian(3, n)
+        )
+        assert lie_derivative(master_field(1, n), w) == ref.lie_derivative(
+            master_field(1, n), w
+        )
+        assert schouten_self(w).is_zero()
+        assert not any(ref.schouten_self(w).entries.values())

@@ -3,7 +3,8 @@
 ``reference_ratpoly`` is the original implementation of ``Polynomial``
 (tuple monomials, one ``Fraction`` per term).  Every operation of the
 packed kernel must give the same terms, string and JSON as the reference
-on the same inputs.  The property tests below also check the ring axioms,
+on the same inputs, and ``Polynomial.dot`` must equal the reference sum of
+products.  The property tests below also check the ring axioms,
 the Leibniz rule for ``diff_index`` and the Jacobi identity of
 ``VectorField.bracket`` directly.
 """
@@ -18,7 +19,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import reference_ratpoly as ref  # noqa: E402
 from todasym.fields import VectorField  # noqa: E402
 from todasym.hierarchy import master_field, poisson_tensor  # noqa: E402
-from todasym.ratpoly import Polynomial  # noqa: E402
+from todasym.ratpoly import (  # noqa: E402
+    EXPONENT_LIMIT,
+    ExponentError,
+    Polynomial,
+    UniverseError,
+)
 
 SIZES = st.integers(2, 3)
 # denominators 1..6 mix within and across operands, as in X_k, w_k and H_m
@@ -80,6 +86,55 @@ def test_scale_and_diff_match_reference(case, frac, whole):
         assert p.scale(frac) / frac == p
     for idx in range(2 * n):
         assert_same(p.diff_index(idx), rp.diff_index(idx))
+
+
+@st.composite
+def dot_cases(draw):
+    """Lattice size and up to five pairs of term maps, empty maps included.
+
+    Half the time the negation of the first pair is appended, so that the
+    whole sum of that pair cancels exactly against it.
+    """
+    n = draw(SIZES)
+    pairs = draw(st.lists(st.tuples(term_maps(n), term_maps(n)), max_size=4))
+    if pairs and draw(st.booleans()):
+        p, q = pairs[0]
+        pairs.append(({m: -c for m, c in p.items()}, q))
+    return n, pairs
+
+
+@given(dot_cases())
+def test_dot_matches_reference_sum_of_products(case):
+    n, maps = case
+    pairs = [(Polynomial(n, p), Polynomial(n, q)) for p, q in maps]
+    expected = ref.Polynomial.zero(n)
+    for p, q in maps:
+        expected = expected + ref.Polynomial(n, p) * ref.Polynomial(n, q)
+    assert_same(Polynomial.dot(n, pairs), expected)
+    assert_same(Polynomial.dot(n, iter(pairs)), expected)
+
+
+def test_dot_edge_cases():
+    n = 2
+    a1, b1 = Polynomial.variable(n, "a1"), Polynomial.variable(n, "b1")
+    third = Polynomial.const(n, Fraction(1, 3))
+    zero = Polynomial.zero(n)
+    assert Polynomial.dot(n, []) == zero
+    assert Polynomial.dot(n, [(zero, a1), (b1, zero), (zero, zero)]) == zero
+    # mixed denominators that cancel exactly, and ones that add to an integer
+    assert Polynomial.dot(n, [(third, a1), (a1, -third)]) == zero
+    assert Polynomial.dot(n, [(third, a1), (a1 / 2, third * 4)]) == a1
+    other = Polynomial.variable(3, "a1")
+    with pytest.raises(UniverseError):
+        Polynomial.dot(n, [(a1, other)])
+    with pytest.raises(UniverseError):
+        Polynomial.dot(3, [(a1, b1)])
+    big = a1 ** (EXPONENT_LIMIT - 1)
+    with pytest.raises(ExponentError):
+        Polynomial.dot(n, [(big, a1 * b1)])
+    # a product past the limit raises even when another pair cancels it
+    with pytest.raises(ExponentError):
+        Polynomial.dot(n, [(big, a1), (-big, a1)])
 
 
 def test_exact_cancellation_to_empty_polynomial():
