@@ -22,7 +22,6 @@ from .hierarchy import chi, chi_ladder, equivalent_mod_chi, master_field, poisso
 from .symmetry import (
     SymmetryCandidate,
     DeterminingResidual,
-    bracket_relation_suite,
     build_Y,
     candidate_scaling,
     candidate_shift,
@@ -69,7 +68,6 @@ __all__ = [
     "poisson_tensor",
     "SymmetryCandidate",
     "DeterminingResidual",
-    "bracket_relation_suite",
     "build_Y",
     "candidate_scaling",
     "candidate_shift",

@@ -8,10 +8,12 @@ Subcommands:
     symcheck   test a symmetry candidate from a JSON file
 
 Exit codes: 0 on success, 1 when an identity or threshold fails, 2 for
-usage or input errors, with one "error:" line.  Defaults may be set through
-TODA_* environment variables (TODA_N, TODA_NMAX, TODA_TEND, TODA_DT,
-TODA_EPS, TODA_TOL, TODA_OUT); each subcommand reads only the variables of
-its own options, and explicit flags win over the environment.
+usage or input errors, with one "error:" line; a stdout closed before the
+output is written (``todasym verify --json | head -5``) exits 2 silently.
+Defaults may be set through TODA_* environment variables (TODA_N,
+TODA_NMAX, TODA_TEND, TODA_DT, TODA_EPS, TODA_TOL, TODA_OUT); each
+subcommand reads only the variables of its own options, and explicit flags
+win over the environment.
 """
 
 from __future__ import annotations
@@ -141,22 +143,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {
+        "verify": cmd_verify,
+        "simulate": cmd_simulate,
+        "hierarchy": cmd_hierarchy,
+        "symcheck": cmd_symcheck,
+    }
     try:
         for dest, (name, default, cast) in ENV_DEFAULTS[args.command].items():
             if getattr(args, dest) is None:
                 setattr(args, dest, _env(name, default, cast))
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "hierarchy":
-            return cmd_hierarchy(args)
-        if args.command == "symcheck":
-            return cmd_symcheck(args)
+        code = commands[args.command](args)
+        sys.stdout.flush()
     except BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    raise AssertionError("unreachable")
+    except BrokenPipeError:
+        # the reader is gone; what is still buffered goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return USAGE_ERROR
+    return code
 
 
 class BadInput(Exception):
@@ -208,6 +214,8 @@ def cmd_simulate(args) -> int:
         raise BadInput("--tend, --dt, --tol and --eps must be finite")
     if args.dt <= 0 or args.tend < 0 or args.eps <= 0:
         raise BadInput("need dt > 0, tend >= 0 and eps > 0")
+    if args.nmax < 1:
+        raise BadInput(f"nmax must be >= 1, got {args.nmax}")
     if args.symmetry is not None and args.symmetry < -1:
         raise BadInput(f"symmetry index must be >= -1, got {args.symmetry}")
     try:
@@ -215,7 +223,7 @@ def cmd_simulate(args) -> int:
     except RuntimeError as exc:
         print(f"integration aborted: {exc}", file=sys.stderr)
         return CHECK_ERROR
-    report = drift_report(traj, max(1, args.nmax))
+    report = drift_report(traj, args.nmax)
     if args.out:
         with _output(args.out) as handle:
             traj.write_csv(handle)

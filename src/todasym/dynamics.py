@@ -70,7 +70,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     dt: float
-    integrator: str = "rk4"
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -80,14 +79,6 @@ class Trajectory:
 
     def point(self, index: int) -> PhasePoint:
         return PhasePoint.from_state(self.n, self.states[index], float(self.times[index]))
-
-    @property
-    def a_states(self) -> np.ndarray:
-        return self.states[:, : self.n - 1]
-
-    @property
-    def b_states(self) -> np.ndarray:
-        return self.states[:, self.n - 1 :]
 
     def write_csv(self, stream: IO[str]) -> None:
         writer = csv.writer(stream)
@@ -123,15 +114,12 @@ def integrate(
         require_positive_a = field is None and all(ai > 0 for ai in z0.a)
     if field is None:
         func: FieldFunc = _toda_func
-        name = "rk4/toda"
     elif isinstance(field, VectorField):
         if field.n != z0.n:
             raise ValueError("field and initial point have different lattice sizes")
         func = CompiledField(field)
-        name = "rk4/compiled"
     else:
         func = field
-        name = "rk4/callable"
 
     steps = int(round(t_end / dt))
     n = z0.n
@@ -159,7 +147,7 @@ def integrate(
         if (step + 1) % store_stride == 0:
             times.append(t)
             states.append(x.copy())
-    return Trajectory(n, np.array(times), np.array(states), dt, name)
+    return Trajectory(n, np.array(times), np.array(states), dt)
 
 
 def spectrum(point: PhasePoint) -> np.ndarray:

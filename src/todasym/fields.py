@@ -41,11 +41,6 @@ class VectorField:
             raise ValueError(f"expected {2 * n - 1} components, got {len(comps)}")
         return cls(n, tuple(comps[: n - 1]), tuple(comps[n - 1 :]))
 
-    @classmethod
-    def zero(cls, n: int) -> "VectorField":
-        z = Polynomial.zero(n)
-        return cls(n, (z,) * (n - 1), (z,) * n)
-
     def components(self) -> tuple[Polynomial, ...]:
         return self.a + self.b
 

@@ -232,24 +232,21 @@ def build_Y(k: int, n: int) -> SymmetryCandidate:
 
 
 # ---------------------------------------------------------------------------
-# suite runners
+# the Y_k theorem
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TheoremCase:
-    """Outcome of both symmetry criteria for one Y_k."""
+    """Outcome of both symmetry criteria for one Y_k; no witness iff both hold."""
 
     k: int
     n: int
-    determining_ok: bool
-    evolutionary_ok: bool
-    routes_agree: bool
     witness: str | None
 
     @property
     def ok(self) -> bool:
-        return self.determining_ok and self.evolutionary_ok and self.routes_agree
+        return self.witness is None
 
 
 def verify_theorem(k_max: int, n: int) -> list[TheoremCase]:
@@ -259,59 +256,12 @@ def verify_theorem(k_max: int, n: int) -> list[TheoremCase]:
     cases = []
     for k in range(-1, k_max + 1):
         cand = build_Y(k, n)
-        residual = determining_residuals(cand)
-        defect = evolutionary_defect(cand.as_field())
-        agree = _routes_agree(residual, defect)
-        witness = None
-        found = residual.first_nonzero()
+        found = determining_residuals(cand).first_nonzero()
         if found is not None:
             witness = f"{found[0]} = {found[1]}"
-        elif not defect.is_zero():
+        elif not evolutionary_defect(cand.as_field()).is_zero():
             witness = "evolutionary defect nonzero"
-        cases.append(
-            TheoremCase(
-                k=k,
-                n=n,
-                determining_ok=residual.all_zero(),
-                evolutionary_ok=defect.is_zero(),
-                routes_agree=agree,
-                witness=witness,
-            )
-        )
-    return cases
-
-
-def _routes_agree(residual: DeterminingResidual, defect: VectorField) -> bool:
-    """For tau = 0 the two criteria are the same polynomials, slot by slot."""
-    return tuple(residual.gamma) == defect.a and tuple(residual.delta) == defect.b
-
-
-@dataclass(frozen=True)
-class BracketCase:
-    """Outcome of one ladder bracket identity [X_k, chi_l] = (l-1) chi_{k+l}."""
-
-    k: int
-    l: int
-    n: int
-    ok: bool
-    witness: str | None
-
-
-def bracket_relation_suite(
-    n: int, k_range=(0, 1, 2, 3), l_range=(1, 2, 3, 4)
-) -> list[BracketCase]:
-    """Exact check of [X_k, chi_l] = (l-1) chi_{k+l} over a grid."""
-    out = []
-    for k in k_range:
-        for l in l_range:
-            lhs = master_field(k, n).bracket(chi(l, n))
-            rhs = chi(k + l, n).scale(l - 1)
-            diff = lhs - rhs
+        else:
             witness = None
-            if not diff.is_zero():
-                for idx, comp in enumerate(diff.components()):
-                    if not comp.is_zero():
-                        witness = f"component {idx}: {comp}"
-                        break
-            out.append(BracketCase(k=k, l=l, n=n, ok=diff.is_zero(), witness=witness))
-    return out
+        cases.append(TheoremCase(k, n, witness))
+    return cases

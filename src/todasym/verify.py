@@ -9,6 +9,13 @@ that identical configurations produce byte-identical JSON reports.
 Statuses: "exact-pass" for an identity holding term by term,
 "pass-mod-equivalence" when equality holds only up to a multiple of a
 ladder field chi_l (the rational multiple k is recorded), "fail" otherwise.
+
+One rule decides an exact identity: it passes exactly when its residual
+(left side minus right side, a polynomial, field, tensor or matrix) is
+empty, and the witness of a failure is the residual's first nonzero slot
+with that slot's leading term.  ``_check`` applies the rule to every suite
+but two: the theorem suite takes its witness from the determining
+residuals, and the equivalence suite also reports the multiple k.
 """
 
 from __future__ import annotations
@@ -28,26 +35,18 @@ from .hierarchy import (
 from .lattice import hamiltonian, matmul_symbolic, symbolic_lax, symbolic_lax_b, toda_rhs
 from .poisson import (
     PoissonTensor,
+    ThreeTensor,
     hamiltonian_field,
     lie_derivative,
     poisson_bracket,
     schouten_self,
 )
 from .ratpoly import Polynomial
-from .symmetry import bracket_relation_suite, verify_theorem
+from .symmetry import verify_theorem
 
 EXACT = "exact-pass"
 MOD_EQUIV = "pass-mod-equivalence"
 FAIL = "fail"
-
-ALL_SUITES = (
-    "transcription",
-    "hamiltonian-ladder",
-    "theorem",
-    "chi-brackets",
-    "poisson",
-    "equivalence",
-)
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,280 @@ class CheckResult:
         return obj
 
 
+def _check(suite: str, name: str, statement: str, params: dict, residual) -> CheckResult:
+    """The record of an exact identity: it passes iff its residual is empty."""
+    witness = _witness(residual)
+    return CheckResult(suite, name, statement, params, EXACT if witness is None else FAIL, witness)
+
+
+def _witness(residual) -> str | None:
+    """The first nonzero slot of a residual and its leading term; None if empty."""
+    for label, poly in _slots(residual):
+        if poly:
+            mono, coeff = poly.sorted_terms()[0]
+            return f"{label}leading term {Polynomial(poly.n, {mono: coeff})}"
+    return None
+
+
+def _slots(residual):
+    """(label, polynomial) for the slots of a residual, in report order.
+
+    A residual is a Polynomial, VectorField, PoissonTensor, ThreeTensor or
+    a symbolic matrix (rows of polynomials).
+    """
+    if isinstance(residual, Polynomial):
+        yield "", residual
+    elif isinstance(residual, VectorField):
+        for idx, comp in enumerate(residual.components()):
+            yield f"component {idx}: ", comp
+    elif isinstance(residual, PoissonTensor):
+        for (i, j), entry in residual.upper.items():
+            yield f"entry ({i},{j}): ", entry
+    elif isinstance(residual, ThreeTensor):
+        found = residual.first_nonzero()
+        if found is not None:
+            yield f"slot {found[0]}: ", found[1]
+    else:
+        for i, row in enumerate(residual):
+            for j, entry in enumerate(row):
+                yield f"entry ({i},{j}): ", entry
+
+
+# ---------------------------------------------------------------------------
+# individual suites
+# ---------------------------------------------------------------------------
+
+
+def suite_transcription(ns) -> list[CheckResult]:
+    """Fixed-point checks on the explicit low-order objects."""
+    out = []
+    for n in ns:
+        flow = toda_rhs(n)
+        lax = symbolic_lax(n)
+        lax_b = symbolic_lax_b(n)
+        # dL/dt: the flow's b-components on the diagonal, its a-components beside it
+        dl_dt = [[Polynomial.zero(n)] * n for _ in range(n)]
+        for i in range(n):
+            dl_dt[i][i] = flow.b[i]
+        for i in range(n - 1):
+            dl_dt[i][i + 1] = dl_dt[i + 1][i] = flow.a[i]
+        comm = zip(matmul_symbolic(lax_b, lax), matmul_symbolic(lax, lax_b), dl_dt)
+        residual = [[bl - lb - d for bl, lb, d in zip(*rows)] for rows in comm]
+        out.append(
+            _check(
+                "transcription",
+                "lax-commutator",
+                "[B, L] assembles the flow: diagonal 2(a_i^2-a_{i-1}^2), off-diagonal a_i(b_{i+1}-b_i)",
+                {"N": n},
+                residual,
+            )
+        )
+        out.append(
+            _check(
+                "transcription",
+                "chi2-is-flow",
+                "w_1 . grad H_2 equals the Toda right-hand side",
+                {"N": n},
+                chi(2, n) - flow,
+            )
+        )
+        out.append(
+            _check("transcription", "H1-casimir", "w_1 . grad H_1 = 0", {"N": n}, chi(1, n))
+        )
+    return out
+
+
+def suite_hamiltonian_ladder(ns, k_max: int) -> list[CheckResult]:
+    """X_k(H_m) = (k+m) H_{k+m}, plus the lowering field X_{-1}."""
+    out = []
+    for n in ns:
+        for k in range(0, k_max + 1):
+            x = master_field(k, n)
+            for m in range(1, 5):
+                lhs = x.apply(hamiltonian(m, n))
+                rhs = hamiltonian(k + m, n).scale(k + m)
+                out.append(
+                    _check(
+                        "hamiltonian-ladder",
+                        f"X{k}(H{m})",
+                        "X_k(H_m) = (k+m) H_{k+m}",
+                        {"N": n, "k": k, "m": m},
+                        lhs - rhs,
+                    )
+                )
+        lower = master_field(-1, n)
+        for m in range(2, 6):
+            diff = lower.apply(hamiltonian(m, n)) - hamiltonian(m - 1, n).scale(m - 1)
+            out.append(
+                _check(
+                    "hamiltonian-ladder",
+                    f"X-1(H{m})",
+                    "X_{-1}(H_m) = (m-1) H_{m-1}",
+                    {"N": n, "m": m},
+                    diff,
+                )
+            )
+        # the m = 1 edge: X_{-1}(H_1) is the constant N, reported as its own fact
+        edge = lower.apply(hamiltonian(1, n)) - Polynomial.const(n, n)
+        out.append(
+            _check(
+                "hamiltonian-ladder",
+                "X-1(H1)",
+                "X_{-1}(H_1) = N (the ladder bottoms out at a constant)",
+                {"N": n},
+                edge,
+            )
+        )
+    return out
+
+
+def suite_theorem(ns, k_max: int = 3) -> list[CheckResult]:
+    out = []
+    for n in ns:
+        for case in verify_theorem(k_max, n):
+            out.append(
+                CheckResult(
+                    "theorem",
+                    f"Y{case.k}",
+                    "Y_k = X_k + t chi_{k+2} solves the determining equations "
+                    "and dY/dt + [chi_2, Y] = 0",
+                    {"N": n, "k": case.k},
+                    EXACT if case.ok else FAIL,
+                    case.witness,
+                )
+            )
+    return out
+
+
+def suite_chi_brackets(ns, k_range=(0, 1, 2, 3), l_range=(1, 2, 3, 4)) -> list[CheckResult]:
+    out = []
+    for n in ns:
+        for k in k_range:
+            for l in l_range:
+                lhs = master_field(k, n).bracket(chi(l, n))
+                rhs = chi(k + l, n).scale(l - 1)
+                out.append(
+                    _check(
+                        "chi-brackets",
+                        f"[X{k},chi{l}]",
+                        "[X_k, chi_l] = (l-1) chi_{k+l}",
+                        {"N": n, "k": k, "l": l},
+                        lhs - rhs,
+                    )
+                )
+    return out
+
+
+def suite_poisson(ns) -> list[CheckResult]:
+    """Jacobi certificates, involution, the chi ladder and tensor scaling."""
+    out = []
+    for n in ns:
+        for k in (1, 2, 3):
+            out.append(
+                _check(
+                    "poisson",
+                    f"schouten-w{k}",
+                    "[w_k, w_k] = 0 (Jacobi identity)",
+                    {"N": n, "k": k},
+                    schouten_self(poisson_tensor(k, n)),
+                )
+            )
+        for k in (1, 2, 3):
+            w = poisson_tensor(k, n)
+            for m in range(1, 5):
+                for l in range(m, 5):
+                    out.append(
+                        _check(
+                            "poisson",
+                            f"involution-w{k}-H{m}-H{l}",
+                            "{H_m, H_l} = 0 under w_k",
+                            {"N": n, "k": k, "m": m, "l": l},
+                            poisson_bracket(w, hamiltonian(m, n), hamiltonian(l, n)),
+                        )
+                    )
+        for k in (2, 3):
+            for l in (1, 2, 3):
+                diff = chi_ladder(l, k, n) - chi_ladder(l + 1, k - 1, n)
+                out.append(
+                    _check(
+                        "poisson",
+                        f"ladder-w{k}-H{l}",
+                        "w_k . grad H_l = w_{k-1} . grad H_{l+1}",
+                        {"N": n, "k": k, "l": l},
+                        diff,
+                    )
+                )
+        out.extend(_tensor_scaling_checks(n))
+    return out
+
+
+def _tensor_scaling_checks(n: int) -> list[CheckResult]:
+    """L_{X_k} w_m = (m-k-2) w_{k+m} at the cross-check corners.
+
+    The (k, m) = (1, 1) and (1, 2) instances define w_2 and w_3, so the
+    informative cases are the Euler scaling and the off-construction pair
+    (2, 1).
+    """
+    euler = lie_derivative(master_field(0, n), poisson_tensor(1, n))
+    lhs = lie_derivative(master_field(2, n), poisson_tensor(1, n))
+    return [
+        _check(
+            "poisson",
+            "scaling-X0-w1",
+            "L_{X_0} w_1 = -w_1 (linear entries, Euler grading)",
+            {"N": n},
+            euler - poisson_tensor(1, n).scale(-1),
+        ),
+        _check(
+            "poisson",
+            "scaling-X2-w1",
+            "L_{X_2} w_1 = -3 w_3",
+            {"N": n},
+            lhs - poisson_tensor(3, n).scale(-3),
+        ),
+    ]
+
+
+def suite_equivalence(ns, index_range=(0, 1, 2, 3)) -> list[CheckResult]:
+    """[X_i, X_j] - (j-i) X_{i+j} = k chi_{i+j+1}; each k is reported."""
+    out = []
+    for n in ns:
+        for i in index_range:
+            for j in index_range:
+                bracket = master_field(i, n).bracket(master_field(j, n))
+                target = master_field(i + j, n).scale(j - i)
+                k = equivalent_mod_chi(bracket, target, i + j + 1)
+                if k is None:
+                    status, witness = FAIL, _witness(bracket - target)
+                else:
+                    status = EXACT if k == 0 else MOD_EQUIV
+                    witness = None
+                out.append(
+                    CheckResult(
+                        "equivalence",
+                        f"[X{i},X{j}]",
+                        "[X_i, X_j] = (j-i) X_{i+j} + k chi_{i+j+1} for some rational k",
+                        {"N": n, "i": i, "j": j},
+                        status,
+                        witness,
+                        k=None if k is None else str(k),
+                    )
+                )
+    return out
+
+
+# suite name -> runner over (sorted sizes, n_max), in report order
+SUITES = {
+    "transcription": lambda ns, n_max: suite_transcription(ns),
+    "hamiltonian-ladder": suite_hamiltonian_ladder,
+    "theorem": lambda ns, n_max: suite_theorem(ns, min(n_max, 3)),
+    "chi-brackets": lambda ns, n_max: suite_chi_brackets(ns),
+    "poisson": lambda ns, n_max: suite_poisson(ns),
+    "equivalence": lambda ns, n_max: suite_equivalence(ns),
+}
+ALL_SUITES = tuple(SUITES)
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     ns: tuple[int, ...] = (2, 3, 4)
@@ -90,6 +363,8 @@ class VerifyConfig:
             raise ValueError("lattice sizes must all be >= 2")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        if not self.suites:
+            raise ValueError("suite list is empty")
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
@@ -139,299 +414,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _vf_witness(diff: VectorField) -> str | None:
-    for idx, comp in enumerate(diff.components()):
-        if not comp.is_zero():
-            mono, coeff = comp.sorted_terms()[0]
-            return f"component {idx}: leading term {Polynomial(diff.n, {mono: coeff})}"
-    return None
-
-
-def _poly_witness(p: Polynomial) -> str | None:
-    if p.is_zero():
-        return None
-    mono, coeff = p.sorted_terms()[0]
-    return f"leading term {Polynomial(p.n, {mono: coeff})}"
-
-
-# ---------------------------------------------------------------------------
-# individual suites
-# ---------------------------------------------------------------------------
-
-
-def suite_transcription(ns) -> list[CheckResult]:
-    """Fixed-point checks on the explicit low-order objects."""
-    out = []
-    for n in ns:
-        flow = toda_rhs(n)
-        lax = symbolic_lax(n)
-        lax_b = symbolic_lax_b(n)
-        comm = _matrix_sub(matmul_symbolic(lax_b, lax), matmul_symbolic(lax, lax_b))
-        ok = True
-        witness = None
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    expected = flow.b[i]
-                elif abs(i - j) == 1:
-                    expected = flow.a[min(i, j)]
-                else:
-                    expected = Polynomial.zero(n)
-                if comm[i][j] != expected:
-                    ok = False
-                    witness = f"[B,L] entry ({i},{j}) = {comm[i][j]}, expected {expected}"
-                    break
-            if not ok:
-                break
-        out.append(
-            CheckResult(
-                "transcription",
-                "lax-commutator",
-                "[B, L] assembles the flow: diagonal 2(a_i^2-a_{i-1}^2), off-diagonal a_i(b_{i+1}-b_i)",
-                {"N": n},
-                EXACT if ok else FAIL,
-                witness,
-            )
-        )
-        chi2 = chi(2, n)
-        diff = chi2 - flow
-        out.append(
-            CheckResult(
-                "transcription",
-                "chi2-is-flow",
-                "w_1 . grad H_2 equals the Toda right-hand side",
-                {"N": n},
-                EXACT if diff.is_zero() else FAIL,
-                _vf_witness(diff),
-            )
-        )
-        casimir = chi(1, n)
-        out.append(
-            CheckResult(
-                "transcription",
-                "H1-casimir",
-                "w_1 . grad H_1 = 0",
-                {"N": n},
-                EXACT if casimir.is_zero() else FAIL,
-                _vf_witness(casimir),
-            )
-        )
-    return out
-
-
-def _matrix_sub(a, b):
-    return tuple(
-        tuple(p - q for p, q in zip(row_a, row_b)) for row_a, row_b in zip(a, b)
-    )
-
-
-def suite_hamiltonian_ladder(ns, k_max: int) -> list[CheckResult]:
-    """X_k(H_m) = (k+m) H_{k+m}, plus the lowering field X_{-1}."""
-    out = []
-    for n in ns:
-        for k in range(0, k_max + 1):
-            x = master_field(k, n)
-            for m in range(1, 5):
-                lhs = x.apply(hamiltonian(m, n))
-                rhs = hamiltonian(k + m, n).scale(k + m)
-                diff = lhs - rhs
-                out.append(
-                    CheckResult(
-                        "hamiltonian-ladder",
-                        f"X{k}(H{m})",
-                        "X_k(H_m) = (k+m) H_{k+m}",
-                        {"N": n, "k": k, "m": m},
-                        EXACT if diff.is_zero() else FAIL,
-                        _poly_witness(diff),
-                    )
-                )
-        lower = master_field(-1, n)
-        for m in range(2, 6):
-            diff = lower.apply(hamiltonian(m, n)) - hamiltonian(m - 1, n).scale(m - 1)
-            out.append(
-                CheckResult(
-                    "hamiltonian-ladder",
-                    f"X-1(H{m})",
-                    "X_{-1}(H_m) = (m-1) H_{m-1}",
-                    {"N": n, "m": m},
-                    EXACT if diff.is_zero() else FAIL,
-                    _poly_witness(diff),
-                )
-            )
-        # the m = 1 edge: X_{-1}(H_1) is the constant N, reported as its own fact
-        edge = lower.apply(hamiltonian(1, n)) - Polynomial.const(n, n)
-        out.append(
-            CheckResult(
-                "hamiltonian-ladder",
-                "X-1(H1)",
-                "X_{-1}(H_1) = N (the ladder bottoms out at a constant)",
-                {"N": n},
-                EXACT if edge.is_zero() else FAIL,
-                _poly_witness(edge),
-            )
-        )
-    return out
-
-
-def suite_theorem(ns, k_max: int = 3) -> list[CheckResult]:
-    out = []
-    for n in ns:
-        for case in verify_theorem(k_max, n):
-            ok = case.ok
-            out.append(
-                CheckResult(
-                    "theorem",
-                    f"Y{case.k}",
-                    "Y_k = X_k + t chi_{k+2} solves the determining equations "
-                    "and dY/dt + [chi_2, Y] = 0",
-                    {"N": n, "k": case.k},
-                    EXACT if ok else FAIL,
-                    case.witness if not ok else None,
-                )
-            )
-    return out
-
-
-def suite_chi_brackets(ns, k_range=(0, 1, 2, 3), l_range=(1, 2, 3, 4)) -> list[CheckResult]:
-    out = []
-    for n in ns:
-        for case in bracket_relation_suite(n, k_range, l_range):
-            out.append(
-                CheckResult(
-                    "chi-brackets",
-                    f"[X{case.k},chi{case.l}]",
-                    "[X_k, chi_l] = (l-1) chi_{k+l}",
-                    {"N": n, "k": case.k, "l": case.l},
-                    EXACT if case.ok else FAIL,
-                    case.witness,
-                )
-            )
-    return out
-
-
-def suite_poisson(ns) -> list[CheckResult]:
-    """Jacobi certificates, involution, the chi ladder and tensor scaling."""
-    out = []
-    for n in ns:
-        for k in (1, 2, 3):
-            bracket3 = schouten_self(poisson_tensor(k, n))
-            found = bracket3.first_nonzero()
-            out.append(
-                CheckResult(
-                    "poisson",
-                    f"schouten-w{k}",
-                    "[w_k, w_k] = 0 (Jacobi identity)",
-                    {"N": n, "k": k},
-                    EXACT if bracket3.is_zero() else FAIL,
-                    None
-                    if found is None
-                    else f"slot {found[0]}: {_poly_witness(found[1])}",
-                )
-            )
-        for k in (1, 2, 3):
-            w = poisson_tensor(k, n)
-            for m in range(1, 5):
-                for l in range(m, 5):
-                    br = poisson_bracket(w, hamiltonian(m, n), hamiltonian(l, n))
-                    out.append(
-                        CheckResult(
-                            "poisson",
-                            f"involution-w{k}-H{m}-H{l}",
-                            "{H_m, H_l} = 0 under w_k",
-                            {"N": n, "k": k, "m": m, "l": l},
-                            EXACT if br.is_zero() else FAIL,
-                            _poly_witness(br),
-                        )
-                    )
-        for k in (2, 3):
-            for l in (1, 2, 3):
-                diff = chi_ladder(l, k, n) - chi_ladder(l + 1, k - 1, n)
-                out.append(
-                    CheckResult(
-                        "poisson",
-                        f"ladder-w{k}-H{l}",
-                        "w_k . grad H_l = w_{k-1} . grad H_{l+1}",
-                        {"N": n, "k": k, "l": l},
-                        EXACT if diff.is_zero() else FAIL,
-                        _vf_witness(diff),
-                    )
-                )
-        out.extend(_tensor_scaling_checks(n))
-    return out
-
-
-def _tensor_scaling_checks(n: int) -> list[CheckResult]:
-    """L_{X_k} w_m = (m-k-2) w_{k+m} at the cross-check corners.
-
-    The (k, m) = (1, 1) and (1, 2) instances define w_2 and w_3, so the
-    informative cases are the Euler scaling and the off-construction pair
-    (2, 1).  If exact equality fails but the defect is a multiple of a
-    ladder-generated tensor, the status records that instead of failing.
-    """
-    out = []
-    euler = lie_derivative(master_field(0, n), poisson_tensor(1, n))
-    diff_euler = euler - poisson_tensor(1, n).scale(-1)
-    out.append(
-        CheckResult(
-            "poisson",
-            "scaling-X0-w1",
-            "L_{X_0} w_1 = -w_1 (linear entries, Euler grading)",
-            {"N": n},
-            EXACT if diff_euler.is_zero() else FAIL,
-            _tensor_witness(diff_euler),
-        )
-    )
-    lhs = lie_derivative(master_field(2, n), poisson_tensor(1, n))
-    rhs = poisson_tensor(3, n).scale(-3)
-    diff = lhs - rhs
-    status = EXACT if diff.is_zero() else FAIL
-    out.append(
-        CheckResult(
-            "poisson",
-            "scaling-X2-w1",
-            "L_{X_2} w_1 = -3 w_3",
-            {"N": n},
-            status,
-            _tensor_witness(diff),
-        )
-    )
-    return out
-
-
-def _tensor_witness(diff: PoissonTensor) -> str | None:
-    for (i, j), entry in diff.upper.items():
-        return f"entry ({i},{j}): {_poly_witness(entry)}"
-    return None
-
-
-def suite_equivalence(ns, index_range=(0, 1, 2, 3)) -> list[CheckResult]:
-    """[X_i, X_j] - (j-i) X_{i+j} = k chi_{i+j+1}; each k is reported."""
-    out = []
-    for n in ns:
-        for i in index_range:
-            for j in index_range:
-                bracket = master_field(i, n).bracket(master_field(j, n))
-                target = master_field(i + j, n).scale(j - i)
-                k = equivalent_mod_chi(bracket, target, i + j + 1)
-                if k is None:
-                    status, witness = FAIL, _vf_witness(bracket - target)
-                else:
-                    status = EXACT if k == 0 else MOD_EQUIV
-                    witness = None
-                out.append(
-                    CheckResult(
-                        "equivalence",
-                        f"[X{i},X{j}]",
-                        "[X_i, X_j] = (j-i) X_{i+j} + k chi_{i+j+1} for some rational k",
-                        {"N": n, "i": i, "j": j},
-                        status,
-                        witness,
-                        k=None if k is None else str(k),
-                    )
-                )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # runner and mutation smoke test
 # ---------------------------------------------------------------------------
@@ -440,18 +422,9 @@ def suite_equivalence(ns, index_range=(0, 1, 2, 3)) -> list[CheckResult]:
 def run_verify(config: VerifyConfig) -> Report:
     report = Report(config)
     ns = tuple(sorted(config.ns))
-    if "transcription" in config.suites:
-        report.results.extend(suite_transcription(ns))
-    if "hamiltonian-ladder" in config.suites:
-        report.results.extend(suite_hamiltonian_ladder(ns, config.n_max))
-    if "theorem" in config.suites:
-        report.results.extend(suite_theorem(ns, min(config.n_max, 3)))
-    if "chi-brackets" in config.suites:
-        report.results.extend(suite_chi_brackets(ns))
-    if "poisson" in config.suites:
-        report.results.extend(suite_poisson(ns))
-    if "equivalence" in config.suites:
-        report.results.extend(suite_equivalence(ns))
+    for name, suite in SUITES.items():
+        if name in config.suites:
+            report.results.extend(suite(ns, config.n_max))
     return report
 
 

@@ -1,7 +1,9 @@
 """Shared helpers: seeded random polynomials, fields and candidates."""
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,13 @@ def random_polynomial(rng, n, max_terms=4, max_degree=3, with_t=False):
 def random_field(rng, n, **kw):
     comps = [random_polynomial(rng, n, **kw) for _ in range(2 * n - 1)]
     return VectorField.from_components(n, comps)
+
+
+def subprocess_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from todasym.cli import main
 from todasym.symmetry import build_Y, candidate_scaling, candidate_shift
 from todasym.ratpoly import EXPONENT_LIMIT, Vars
+from conftest import subprocess_env
 
 
 def run_cli(capsys, argv):
@@ -62,6 +66,14 @@ def test_verify_rejects_bad_suite(capsys):
     code, _, err = run_cli(capsys, ["verify", "--suites", "nonsense"])
     assert code == 2
     assert "unknown suites" in err
+
+
+def test_verify_rejects_empty_suite_list(capsys):
+    # zero checks would report "ok": true without testing anything
+    code, out, err = run_cli(capsys, ["verify", "--suites", ","])
+    assert code == 2
+    assert out == ""
+    assert err == "error: suite list is empty\n"
 
 
 def test_verify_rejects_bad_size(capsys):
@@ -209,8 +221,9 @@ def test_simulate_symmetry_map_option(capsys, tmp_path):
         ["--eps", "nan"],
         ["--symmetry", "-3"],
         ["--assert", "--tol", "nan"],
+        ["--nmax", "0"],
     ],
-    ids=["dt-nan", "tend-inf", "eps-nan", "symmetry-below-minus-one", "tol-nan"],
+    ids=["dt-nan", "tend-inf", "eps-nan", "symmetry-below-minus-one", "tol-nan", "nmax-0"],
 )
 def test_simulate_bad_number_exits_two(capsys, tmp_path, extra):
     init = write_init(tmp_path, {"a": [0.4], "b": [0.1, -0.2]})
@@ -220,6 +233,42 @@ def test_simulate_bad_number_exits_two(capsys, tmp_path, extra):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_simulate_env_nmax_below_one_exits_two(capsys, monkeypatch, tmp_path):
+    init = write_init(tmp_path, {"a": [0.4], "b": [0.1, -0.2]})
+    monkeypatch.setenv("TODA_NMAX", "-5")
+    code, out, err = run_cli(capsys, ["simulate", init, "--tend", "0.1", "--json"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: nmax must be >= 1, got -5\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "2", "--nmax", "1", "--json"],
+        ["simulate", "{init}", "--tend", "0.1", "--dt", "0.01", "--json"],
+    ],
+    ids=["verify", "simulate"],
+)
+def test_closed_stdout_exits_quietly(tmp_path, argv):
+    # the read end is closed before the child starts, so its first write fails
+    init = write_init(tmp_path, {"a": [0.4], "b": [0.1, -0.2]})
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "todasym", *[arg.format(init=init) for arg in argv]],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=subprocess_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b""
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ from todasym.lattice import hamiltonian, toda_rhs
 from todasym.ratpoly import Polynomial, Vars
 from todasym.symmetry import (
     SymmetryCandidate,
-    bracket_relation_suite,
     build_Y,
     candidate_scaling,
     candidate_shift,
@@ -17,6 +16,7 @@ from todasym.symmetry import (
     total_derivative,
     verify_theorem,
 )
+from todasym.verify import suite_chi_brackets
 from conftest import random_polynomial
 
 
@@ -173,9 +173,7 @@ def test_theorem_small_sizes():
         cases = verify_theorem(3, n)
         assert [c.k for c in cases] == [-1, 0, 1, 2, 3]
         for case in cases:
-            assert case.determining_ok, (n, case.k, case.witness)
-            assert case.evolutionary_ok, (n, case.k)
-            assert case.routes_agree, (n, case.k)
+            assert case.ok, (n, case.k, case.witness)
 
 
 def test_theorem_witness_on_failure():
@@ -196,7 +194,7 @@ def test_theorem_witness_on_failure():
 
 
 def test_bracket_with_zero_chi():
-    cases = bracket_relation_suite(2, k_range=(1,), l_range=(1,))
+    cases = suite_chi_brackets((2,), k_range=(1,), l_range=(1,))
     assert cases[0].ok  # [X_1, chi_1] = 0 = (1-1) chi_2
 
 
@@ -207,8 +205,8 @@ def test_bracket_suite_explicit_cases():
 
 
 def test_bracket_suite_grid():
-    for case in bracket_relation_suite(3):
-        assert case.ok, (case.k, case.l, case.witness)
+    for case in suite_chi_brackets((3,)):
+        assert case.ok, (case.name, case.witness)
 
 
 def test_chi_flows_commute():
