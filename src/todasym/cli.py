@@ -190,7 +190,7 @@ def _load_json(path: str):
 
 
 def cmd_verify(args) -> int:
-    suites = tuple(s for s in args.suites.split(",") if s)
+    suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
     try:
         config = VerifyConfig(ns=tuple(args.n), n_max=args.nmax, suites=suites)
     except ValueError as exc:

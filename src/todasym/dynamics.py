@@ -8,15 +8,20 @@ well a perturbed trajectory still satisfies the equations.
 
 The continuous Toda flow preserves a_i > 0 exactly; the discrete stepper
 does not, so crossing a_i <= 0 aborts with a diagnostic (the step size is
-too coarse for the data).  Polynomial fields are compiled once to coefficient
-and exponent arrays before stepping.
+too coarse for the data).  A polynomial field is compiled once to an int
+exponent matrix with one row per term over (a, b, t) and a float weight
+matrix holding each term's coefficient in its component's column, so one
+evaluation is a row-wise power product and one matrix product.  The
+finite-difference residuals of a sampled curve are one ``flow_residuals``
+call on the transposed sample arrays.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from typing import Callable, IO
+from typing import IO
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -25,35 +30,25 @@ from .fields import VectorField
 from .lattice import PhasePoint, flow_residuals, toda_velocity
 from .symmetry import SymmetryCandidate
 
-FieldFunc = Callable[[np.ndarray, float], np.ndarray]
-
 
 class CompiledField:
     """Polynomial vector field flattened to numpy arrays for fast evaluation."""
 
     def __init__(self, field: VectorField):
         self.n = field.n
-        width = 2 * field.n
-        comps = []
-        for poly in field.components():
-            if poly.terms:
-                exps = np.array(list(poly.terms.keys()), dtype=np.int64)
-                coeffs = np.array([float(c) for c in poly.terms.values()])
-            else:
-                exps = np.zeros((0, width), dtype=np.int64)
-                coeffs = np.zeros(0)
-            comps.append((exps, coeffs))
-        self._comps = comps
+        terms = [
+            (i, exps, float(coeff))
+            for i, poly in enumerate(field.components())
+            for exps, coeff in poly.terms.items()
+        ]
+        rows = np.arange(len(terms))
+        exps = [e for _, e, _ in terms]
+        self._exps = np.array(exps, dtype=np.int64).reshape(rows.size, 2 * field.n)
+        self._weights = np.zeros((rows.size, 2 * field.n - 1))
+        self._weights[rows, [i for i, _, _ in terms]] = [c for _, _, c in terms]
 
     def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
-        values = np.append(x, t)
-        out = np.empty(len(self._comps))
-        for i, (exps, coeffs) in enumerate(self._comps):
-            if coeffs.size == 0:
-                out[i] = 0.0
-            else:
-                out[i] = np.prod(values**exps, axis=1) @ coeffs
-        return out
+        return np.prod(np.append(x, t) ** self._exps, axis=1) @ self._weights
 
 
 def _toda_func(x: np.ndarray, t: float) -> np.ndarray:
@@ -69,7 +64,6 @@ class Trajectory:
     n: int
     times: np.ndarray
     states: np.ndarray
-    dt: float
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -94,60 +88,58 @@ def integrate(
     z0: PhasePoint,
     t_end: float,
     dt: float,
-    field: VectorField | FieldFunc | None = None,
-    require_positive_a: bool | None = None,
+    field: VectorField | None = None,
     store_stride: int = 1,
 ) -> Trajectory:
     """Integrate from z0 with fixed-step classical fourth-order Runge-Kutta.
 
-    field=None integrates the Toda flow itself; a VectorField (possibly
-    t-dependent) is compiled first; any callable (x, t) -> dx is accepted.
-    require_positive_a defaults to True for the Toda flow when the initial
-    couplings are all positive (losing positivity then means dt is too
-    coarse); data starting on an a_i = 0 invariant plane is left alone.
+    field=None integrates the Toda flow itself and aborts when couplings
+    that all started positive lose positivity (dt is too coarse); a
+    VectorField (possibly t-dependent) is compiled first.  When t_end / dt
+    is not whole within a relative 1e-9, a shortened last step ends exactly
+    at z0.time + t_end.  The final state is always stored.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be non-negative")
-    if require_positive_a is None:
-        require_positive_a = field is None and all(ai > 0 for ai in z0.a)
-    if field is None:
-        func: FieldFunc = _toda_func
-    elif isinstance(field, VectorField):
-        if field.n != z0.n:
-            raise ValueError("field and initial point have different lattice sizes")
-        func = CompiledField(field)
-    else:
-        func = field
-
-    steps = int(round(t_end / dt))
     n = z0.n
+    positive_a = field is None and n > 1 and all(ai > 0 for ai in z0.a)
+    if field is not None and field.n != n:
+        raise ValueError("field and initial point have different lattice sizes")
+    func = _toda_func if field is None else CompiledField(field)
+
+    steps = round(t_end / dt)
+    short = not math.isclose(t_end / dt, steps, rel_tol=1e-9)
+    if short:
+        steps = math.floor(t_end / dt) + 1
     x = z0.state()
     t = z0.time
     times = [t]
     states = [x.copy()]
-    for step in range(steps):
+    for step in range(1, steps + 1):
+        last = short and step == steps
+        h = t_end - (step - 1) * dt if last else dt
         k1 = func(x, t)
-        k2 = func(x + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = func(x + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = func(x + dt * k3, t + dt)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = z0.time + (step + 1) * dt
+        k2 = func(x + 0.5 * h * k1, t + 0.5 * h)
+        k3 = func(x + 0.5 * h * k2, t + 0.5 * h)
+        k4 = func(x + h * k3, t + h)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = z0.time + (t_end if last else step * dt)
         if not np.all(np.isfinite(x)):
             raise RuntimeError(
-                f"non-finite state at t={t:.6g} (step {step + 1}); "
+                f"non-finite state at t={t:.6g} (step {step}); "
                 "reduce dt or check the field"
             )
-        if require_positive_a and n > 1 and np.any(x[: n - 1] <= 0.0):
+        if positive_a and np.any(x[: n - 1] <= 0.0):
             raise RuntimeError(
-                f"off-diagonal entry crossed zero at t={t:.6g} (step {step + 1}); "
+                f"off-diagonal entry crossed zero at t={t:.6g} (step {step}); "
                 "dt is too large for this trajectory"
             )
-        if (step + 1) % store_stride == 0:
+        if step % store_stride == 0 or step == steps:
             times.append(t)
             states.append(x.copy())
-    return Trajectory(n, np.array(times), np.array(states), dt)
+    return Trajectory(n, np.array(times), np.array(states))
 
 
 def spectrum(point: PhasePoint) -> np.ndarray:
@@ -190,13 +182,11 @@ def drift_report(traj: Trajectory, m_max: int, stride: int = 1) -> DriftReport:
     return DriftReport(eig_drift, h_drift)
 
 
-def order_of_accuracy_ratio(
-    z0: PhasePoint, t_end: float, dt: float, field: VectorField | None = None
-) -> float:
+def order_of_accuracy_ratio(z0: PhasePoint, t_end: float, dt: float) -> float:
     """Step-halving error ratio; close to 16 for a fourth-order method."""
     finals = []
     for scale in (1, 2, 4):
-        traj = integrate(z0, t_end, dt / scale, field=field)
+        traj = integrate(z0, t_end, dt / scale)
         finals.append(traj.states[-1])
     e1 = np.max(np.abs(finals[0] - finals[1]))
     e2 = np.max(np.abs(finals[1] - finals[2]))
@@ -236,6 +226,7 @@ def symmetry_map_test(
     The Toda flow is integrated from z0, each sample z(t) is displaced to
     z(t) + eps * Y(z(t), t), and the displaced curve's time derivative
     (central differences on the sample grid) is compared against the flow.
+    A sample grid that is not uniform (see integrate) raises ValueError.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -243,31 +234,23 @@ def symmetry_map_test(
         raise ValueError("the map test applies to evolutionary candidates (tau = 0)")
     traj = integrate(z0, t_end, dt, store_stride=sample_stride)
     compiled = CompiledField(cand.as_field())
-    samples = traj.states
-    times = traj.times
-    shifts = np.array([compiled(samples[i], float(times[i])) for i in range(len(times))])
-    baseline = _grid_residuals(traj.n, times, samples)
-    perturbed = _grid_residuals(traj.n, times, samples + eps * shifts)
-    separated = perturbed - baseline
+    shifts = np.array([compiled(x, float(t)) for x, t in zip(traj.states, traj.times)])
+    baseline = _grid_residuals(traj.n, traj.times, traj.states)
+    perturbed = _grid_residuals(traj.n, traj.times, traj.states + eps * shifts)
     return SymmetryMapResult(
         eps=eps,
-        defect=float(np.max(np.abs(separated))),
+        defect=float(np.max(np.abs(perturbed - baseline))),
         raw_residual=float(np.max(np.abs(perturbed))),
         baseline_residual=float(np.max(np.abs(baseline))),
     )
 
 
 def _grid_residuals(n: int, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Central-difference equation residuals at interior samples."""
+    """Central-difference equation residuals, one row per interior sample."""
     h = times[1:] - times[:-1]
     if not np.allclose(h, h[0]):
         raise ValueError("residual grid must be uniform")
-    xdot = (states[2:] - states[:-2]) / (2.0 * h[0])
-    rows = []
-    for i in range(xdot.shape[0]):
-        mid = states[i + 1]
-        gammas, deltas = flow_residuals(
-            mid[: n - 1], mid[n - 1 :], xdot[i, : n - 1], xdot[i, n - 1 :]
-        )
-        rows.append(np.concatenate([gammas, deltas]))
-    return np.array(rows)
+    mid = states[1:-1].T
+    xdot = ((states[2:] - states[:-2]) / (2.0 * h[0])).T
+    gammas, deltas = flow_residuals(mid[: n - 1], mid[n - 1 :], xdot[: n - 1], xdot[n - 1 :])
+    return np.array(gammas + deltas).T

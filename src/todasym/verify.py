@@ -368,6 +368,10 @@ class VerifyConfig:
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
+        for what, values in (("lattice sizes", self.ns), ("suites", self.suites)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"repeated {what}: {repeated}")
 
 
 @dataclass

@@ -76,6 +76,30 @@ def test_verify_rejects_empty_suite_list(capsys):
     assert err == "error: suite list is empty\n"
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--n", "2,2", "error: repeated lattice sizes: [2]\n"),
+        ("--suites", "transcription,transcription", "error: repeated suites: ['transcription']\n"),
+    ],
+    ids=["sizes", "suites"],
+)
+def test_verify_rejects_repeats(capsys, option, value, message):
+    # a repeated size would run and count every check at that size twice
+    argv = ["verify", "--n", "2", "--nmax", "1", "--suites", "transcription", option, value]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+def test_verify_strips_suite_names(capsys):
+    argv = ["verify", "--n", "2", "--nmax", "1", "--suites", "transcription, poisson ", "--json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["config"]["suites"] == ["transcription", "poisson"]
+
+
 def test_verify_rejects_bad_size(capsys):
     code, _, err = run_cli(capsys, ["verify", "--n", "1"])
     assert code == 2
@@ -150,6 +174,18 @@ def test_simulate_fixed_point(capsys, tmp_path):
     assert header == "t,a1,b1,b2"
     payload = json.loads(out)
     assert payload["eigenvalue_drift"] == 0.0
+
+
+def test_simulate_csv_ends_at_tend(capsys, tmp_path):
+    # 1 / 0.3 is not a whole number of steps: the last row is still t = 1
+    init = write_init(tmp_path, {"a": [0.4, 0.3], "b": [0.1, -0.2, 0.0]})
+    csv_path = tmp_path / "f.csv"
+    argv = ["simulate", init, "--tend", "1", "--dt", "0.3", "--out", str(csv_path)]
+    code, _, _ = run_cli(capsys, argv)
+    assert code == 0
+    rows = csv_path.read_text().splitlines()
+    assert [float(row.split(",")[0]) for row in rows[1:]][-1] == 1.0
+    assert len(rows) == 6  # header, t = 0, 0.3, 0.6, 0.9 and 1
 
 
 def test_simulate_accepts_positions_momenta(capsys, tmp_path):

@@ -10,15 +10,18 @@ from todasym.dynamics import (
     CompiledField,
     DriftReport,
     Trajectory,
+    _grid_residuals,
     drift_report,
     integrate,
     order_of_accuracy_ratio,
     spectrum,
     symmetry_map_test,
 )
+from todasym.fields import VectorField
 from todasym.lattice import PhasePoint, toda_rhs
 from todasym.ratpoly import Vars
 from todasym.symmetry import SymmetryCandidate, build_Y
+import reference_dynamics as ref
 
 
 def random_point(rng, n, a_range=(0.1, 0.6), b_range=(-0.5, 0.5)):
@@ -57,7 +60,7 @@ def test_spectrum_three_site_hand_value():
 
 def test_fixed_point_stays_fixed():
     point = PhasePoint((0.0, 0.0), (1.0, -2.0, 0.5))
-    traj = integrate(point, 1.0, 0.01, require_positive_a=False)
+    traj = integrate(point, 1.0, 0.01)
     assert np.allclose(traj.states, traj.states[0])
 
 
@@ -96,7 +99,7 @@ def test_nonfinite_abort():
     field = VectorField(2, (v.zero,), (v.b(1) ** 2, v.zero))
     z0 = PhasePoint((1.0,), (1.0, 0.0))
     with pytest.raises(RuntimeError, match="non-finite"):
-        integrate(z0, 20.0, 0.5, field=field, require_positive_a=False)
+        integrate(z0, 20.0, 0.5, field=field)
 
 
 def test_time_dependent_field_integration():
@@ -106,7 +109,7 @@ def test_time_dependent_field_integration():
 
     field = VectorField(2, (v.zero,), (v.t, v.zero))
     z0 = PhasePoint((1.0,), (0.0, 0.0))
-    traj = integrate(z0, 2.0, 0.01, field=field, require_positive_a=False)
+    traj = integrate(z0, 2.0, 0.01, field=field)
     assert traj.states[-1][1] == pytest.approx(2.0, rel=1e-12)
 
 
@@ -129,6 +132,37 @@ def test_store_stride():
     assert traj.times[1] == pytest.approx(0.1)
 
 
+def test_store_stride_keeps_final_state():
+    # 10 steps at stride 3 store steps 3, 6 and 9, then the final step 10
+    z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0))
+    every = integrate(z0, 1.0, 0.1)
+    strided = integrate(z0, 1.0, 0.1, store_stride=3)
+    assert strided.times[-1] == 1.0
+    assert np.array_equal(strided.times, every.times[[0, 3, 6, 9, 10]])
+    assert np.array_equal(strided.states, every.states[[0, 3, 6, 9, 10]])
+
+
+def test_partial_last_step_ends_at_t_end():
+    # 1.0 / 0.3 is not whole: three steps of 0.3, then one of 0.1
+    z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0))
+    traj = integrate(z0, 1.0, 0.3)
+    assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0])
+    assert traj.times[-1] == 1.0
+    fine = integrate(z0, 1.0, 1e-3)
+    assert np.allclose(traj.states[-1], fine.states[-1], atol=1e-4)
+    assert not np.allclose(traj.states[-2], fine.states[-1], atol=1e-4)
+
+
+def test_partial_last_step_from_nonzero_start_time():
+    v = Vars(2)
+    field = VectorField(2, (v.zero,), (v.t, v.zero))
+    z0 = PhasePoint((1.0,), (0.0, 0.0), 0.5)
+    traj = integrate(z0, 0.25, 0.1, field=field)
+    assert traj.times[-1] == 0.75
+    # db_1/ds = s from s = 0.5 to 0.75; RK4 is exact on this quadratic
+    assert traj.states[-1][1] == pytest.approx((0.75**2 - 0.5**2) / 2, rel=1e-12)
+
+
 # -- order of accuracy -----------------------------------------------------------------
 
 
@@ -146,7 +180,7 @@ def test_rk4_order_ratio(np_rng):
 
 def test_constant_trajectory_has_zero_drift():
     point = PhasePoint((0.0,), (1.0, -1.0))
-    traj = integrate(point, 1.0, 0.01, require_positive_a=False)
+    traj = integrate(point, 1.0, 0.01)
     report = drift_report(traj, 2)
     assert report.eigenvalue_drift == 0.0
     assert report.max_h_drift() == 0.0
@@ -194,7 +228,7 @@ def test_csv_format():
 
 def test_trajectory_requires_increasing_times():
     with pytest.raises(ValueError):
-        Trajectory(2, np.array([0.0, 0.0]), np.zeros((2, 3)), 0.1)
+        Trajectory(2, np.array([0.0, 0.0]), np.zeros((2, 3)))
 
 
 # -- symmetry map probe ------------------------------------------------------------------
@@ -227,9 +261,69 @@ def test_non_symmetry_defect_linear(np_rng):
     assert 1.8 < d1 / d2 < 2.2
 
 
+def test_symmetry_map_rejects_nonuniform_grid(np_rng):
+    # 600 steps at stride 7 leave a last sample 5 steps after the one before
+    z0 = random_point(np_rng, 3)
+    with pytest.raises(ValueError, match="uniform"):
+        symmetry_map_test(build_Y(1, 3), z0, 1e-3, t_end=0.3, sample_stride=7)
+
+
 def test_symmetry_map_rejects_nonzero_tau():
     from todasym.symmetry import candidate_time_translation
 
     z0 = PhasePoint((0.5,), (0.0, 0.0))
     with pytest.raises(ValueError, match="evolutionary"):
         symmetry_map_test(candidate_time_translation(2), z0, 1e-4)
+
+
+# -- one-matrix field and one-call residuals against the reference loops ----------------
+
+
+def oracle_states(np_rng, n):
+    z0 = random_point(np_rng, n)
+    return integrate(z0, 1.0, 1e-2, store_stride=10)
+
+
+def assert_fields_agree(field, traj):
+    fast, slow = CompiledField(field), ref.CompiledField(field)
+    for x, t in zip(traj.states, traj.times):
+        expected = slow(x, float(t))
+        # the matrix product may sum a component's terms in another order than
+        # the per-component dot: allow a few hundred float64 ulps of the largest
+        scale = max(float(np.max(np.abs(expected))), 1.0)
+        np.testing.assert_allclose(fast(x, float(t)), expected, rtol=1e-12, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_compiled_field_matches_reference_on_Y(np_rng, n):
+    traj = oracle_states(np_rng, n)
+    for k in range(-1, 7):
+        assert_fields_agree(build_Y(k, n).as_field(), traj)
+
+
+def test_compiled_field_empty_and_time_dependent(np_rng):
+    n = 4
+    v = Vars(n)
+    traj = oracle_states(np_rng, n)
+    empty = VectorField(n, (v.zero,) * (n - 1), (v.zero,) * n)
+    assert CompiledField(empty)(traj.states[-1], 1.0).tolist() == [0.0] * (2 * n - 1)
+    assert_fields_agree(empty, traj)
+    timed = VectorField(
+        n,
+        (v.t * v.a(1), v.zero, v.t**2 * v.b(3)),
+        (v.t, v.zero, v.a(2) * v.b(1) - v.t * v.b(4) ** 2, 3 * v.t**3),
+    )
+    assert_fields_agree(timed, traj)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_grid_residuals_match_reference(np_rng, n):
+    traj = integrate(random_point(np_rng, n), 0.5, 1e-3, store_stride=5)
+    shifts = CompiledField(build_Y(2, n).as_field())
+    perturbed = traj.states + 1e-3 * np.array(
+        [shifts(x, float(t)) for x, t in zip(traj.states, traj.times)]
+    )
+    for states in (traj.states, perturbed):
+        fast = _grid_residuals(n, traj.times, states)
+        assert fast.shape == (len(traj.times) - 2, 2 * n - 1)
+        assert np.array_equal(fast, ref.grid_residuals(n, traj.times, states))
