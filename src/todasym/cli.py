@@ -220,6 +220,8 @@ def cmd_simulate(args) -> int:
         raise BadInput(f"symmetry index must be >= -1, got {args.symmetry}")
     try:
         traj = integrate(z0, args.tend, args.dt)
+    except ValueError as exc:
+        raise BadInput(str(exc))
     except RuntimeError as exc:
         print(f"integration aborted: {exc}", file=sys.stderr)
         return CHECK_ERROR

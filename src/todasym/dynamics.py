@@ -14,6 +14,16 @@ matrix holding each term's coefficient in its component's column, so one
 evaluation is a row-wise power product and one matrix product.  The
 finite-difference residuals of a sampled curve are one ``flow_residuals``
 call on the transposed sample arrays.
+
+The symmetry map probe tests many candidates and eps values on one base
+trajectory, so its base run (the strided Toda trajectory and its baseline
+residuals) is memoised on ``(z0, t_end, dt, sample_stride)``.  ``integrate``
+is deterministic, so a cache hit returns the very arrays a fresh run would.
+The cache holds 8 runs, enough for the six initial points that a probe
+interleaves (one z0 is the common case); each run is a few hundred samples,
+well under 1 MB in total.  The cached arrays are read-only, so no caller
+can corrupt a later probe.  Failed runs are not cached: an aborting
+integration raises again on every call.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import IO
 
 import numpy as np
@@ -97,22 +108,18 @@ def integrate(
     that all started positive lose positivity (dt is too coarse); a
     VectorField (possibly t-dependent) is compiled first.  When t_end / dt
     is not whole within a relative 1e-9, a shortened last step ends exactly
-    at z0.time + t_end.  The final state is always stored.
+    at z0.time + t_end.  Every store_stride-th state (store_stride >= 1) and
+    the final state are stored.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_end < 0:
-        raise ValueError("t_end must be non-negative")
+    steps, short = _step_count(t_end, dt)
+    if store_stride < 1:
+        raise ValueError(f"store_stride must be >= 1, got {store_stride}")
     n = z0.n
     positive_a = field is None and n > 1 and all(ai > 0 for ai in z0.a)
     if field is not None and field.n != n:
         raise ValueError("field and initial point have different lattice sizes")
     func = _toda_func if field is None else CompiledField(field)
 
-    steps = round(t_end / dt)
-    short = not math.isclose(t_end / dt, steps, rel_tol=1e-9)
-    if short:
-        steps = math.floor(t_end / dt) + 1
     x = z0.state()
     t = z0.time
     times = [t]
@@ -140,6 +147,21 @@ def integrate(
             times.append(t)
             states.append(x.copy())
     return Trajectory(n, np.array(times), np.array(states))
+
+
+def _step_count(t_end: float, dt: float) -> tuple[int, bool]:
+    """Number of RK4 steps from 0 to t_end, and whether the last one is short."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if t_end < 0:
+        raise ValueError("t_end must be non-negative")
+    ratio = t_end / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_end / dt = {ratio} is not a finite step count")
+    steps = round(ratio)
+    if math.isclose(ratio, steps, rel_tol=1e-9):
+        return steps, False
+    return math.floor(ratio) + 1, True
 
 
 def spectrum(point: PhasePoint) -> np.ndarray:
@@ -172,8 +194,12 @@ def drift_report(traj: Trajectory, m_max: int, stride: int = 1) -> DriftReport:
     """Compare eigenvalues and H_1..H_{m_max} of each sample to the first."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    rows = range(0, len(traj.times), stride)
-    spectra = np.array([spectrum(traj.point(i)) for i in rows])
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    n = traj.n
+    spectra = np.array(
+        [eigh_tridiagonal(x[n - 1 :], x[: n - 1], eigvals_only=True) for x in traj.states[::stride]]
+    )
     eig_drift = float(np.max(np.abs(spectra - spectra[0])))
     h_drift = {}
     for m in range(1, m_max + 1):
@@ -226,16 +252,23 @@ def symmetry_map_test(
     The Toda flow is integrated from z0, each sample z(t) is displaced to
     z(t) + eps * Y(z(t), t), and the displaced curve's time derivative
     (central differences on the sample grid) is compared against the flow.
-    A sample grid that is not uniform (see integrate) raises ValueError.
+    The base trajectory and its residuals come from a memoised run (see the
+    module docstring).  A sample grid that is not uniform (see integrate) or
+    has fewer than three samples raises ValueError.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not cand.is_evolutionary():
         raise ValueError("the map test applies to evolutionary candidates (tau = 0)")
-    traj = integrate(z0, t_end, dt, store_stride=sample_stride)
+    if sample_stride < 1:
+        raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
+    steps, _ = _step_count(t_end, dt)
+    samples = 1 + math.ceil(steps / sample_stride)
+    if samples < 3:
+        raise ValueError(f"the map test needs >= 3 samples, this grid has {samples}")
+    traj, baseline = _base_run(z0, t_end, dt, sample_stride)
     compiled = CompiledField(cand.as_field())
     shifts = np.array([compiled(x, float(t)) for x, t in zip(traj.states, traj.times)])
-    baseline = _grid_residuals(traj.n, traj.times, traj.states)
     perturbed = _grid_residuals(traj.n, traj.times, traj.states + eps * shifts)
     return SymmetryMapResult(
         eps=eps,
@@ -243,6 +276,18 @@ def symmetry_map_test(
         raw_residual=float(np.max(np.abs(perturbed))),
         baseline_residual=float(np.max(np.abs(baseline))),
     )
+
+
+@lru_cache(maxsize=8)
+def _base_run(
+    z0: PhasePoint, t_end: float, dt: float, sample_stride: int
+) -> tuple[Trajectory, np.ndarray]:
+    """The strided Toda trajectory from z0 and its residuals, all read-only."""
+    traj = integrate(z0, t_end, dt, store_stride=sample_stride)
+    baseline = _grid_residuals(traj.n, traj.times, traj.states)
+    for array in (traj.times, traj.states, baseline):
+        array.flags.writeable = False
+    return traj, baseline
 
 
 def _grid_residuals(n: int, times: np.ndarray, states: np.ndarray) -> np.ndarray:

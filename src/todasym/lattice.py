@@ -51,6 +51,10 @@ class PhasePoint:
         values = (*self.a, *self.b, self.time)
         if not all(math.isfinite(v) for v in values):
             raise ValueError("phase point entries must be finite")
+        # float tuples whatever sequences came in, so that a point is hashable
+        object.__setattr__(self, "a", tuple(map(float, self.a)))
+        object.__setattr__(self, "b", tuple(map(float, self.b)))
+        object.__setattr__(self, "time", float(self.time))
 
     @property
     def n(self) -> int:

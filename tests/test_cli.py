@@ -258,8 +258,12 @@ def test_simulate_symmetry_map_option(capsys, tmp_path):
         ["--symmetry", "-3"],
         ["--assert", "--tol", "nan"],
         ["--nmax", "0"],
+        ["--tend", "1e300", "--dt", "1e-300"],
     ],
-    ids=["dt-nan", "tend-inf", "eps-nan", "symmetry-below-minus-one", "tol-nan", "nmax-0"],
+    ids=[
+        "dt-nan", "tend-inf", "eps-nan", "symmetry-below-minus-one", "tol-nan", "nmax-0",
+        "step-count-overflow",
+    ],
 )
 def test_simulate_bad_number_exits_two(capsys, tmp_path, extra):
     init = write_init(tmp_path, {"a": [0.4], "b": [0.1, -0.2]})

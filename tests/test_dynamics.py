@@ -2,10 +2,12 @@
 
 import io
 import math
+import random
 
 import numpy as np
 import pytest
 
+from todasym import dynamics
 from todasym.dynamics import (
     CompiledField,
     DriftReport,
@@ -70,6 +72,20 @@ def test_invalid_steps_rejected():
         integrate(point, 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate(point, -1.0, 0.1)
+
+
+def test_step_count_must_be_finite():
+    # 1e300 / 1e-300 overflows to inf: no step count can be formed
+    point = PhasePoint((0.5,), (0.0, 0.0))
+    with pytest.raises(ValueError, match="finite step count"):
+        integrate(point, 1e300, 1e-300)
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_store_stride_below_one_rejected(stride):
+    point = PhasePoint((0.5,), (0.0, 0.0))
+    with pytest.raises(ValueError, match=f"store_stride must be >= 1, got {stride}"):
+        integrate(point, 0.1, 0.01, store_stride=stride)
 
 
 def test_sorting_behavior_two_site():
@@ -201,6 +217,20 @@ def test_h1_drift_bounded_by_eigen_sum_drift(np_rng):
     assert report.h_drift[1] <= 3 * report.eigenvalue_drift + 1e-15
 
 
+@pytest.mark.parametrize("n, stride", [(2, 1), (4, 7), (32, 10)])
+def test_drift_report_matches_point_spectra(np_rng, n, stride):
+    # spectra taken from the state rows equal spectrum(traj.point(i)) bit for bit
+    traj = integrate(random_point(np_rng, n), 0.5, 1e-2)
+    m_max = min(n, 8)
+    assert drift_report(traj, m_max, stride) == ref.drift_report(traj, m_max, stride)
+
+
+def test_drift_report_rejects_stride_below_one():
+    traj = integrate(PhasePoint((0.5,), (0.0, 0.0)), 0.1, 0.01)
+    with pytest.raises(ValueError, match="stride must be >= 1, got 0"):
+        drift_report(traj, 2, stride=0)
+
+
 def test_drift_report_json():
     report = DriftReport(1e-12, {1: 2e-13, 2: 3e-13})
     obj = report.to_json_obj()
@@ -274,6 +304,137 @@ def test_symmetry_map_rejects_nonzero_tau():
     z0 = PhasePoint((0.5,), (0.0, 0.0))
     with pytest.raises(ValueError, match="evolutionary"):
         symmetry_map_test(candidate_time_translation(2), z0, 1e-4)
+
+
+# -- memoised base run ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def base_runs():
+    dynamics._base_run.cache_clear()
+    yield dynamics._base_run
+    dynamics._base_run.cache_clear()
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """Counts the calls of dynamics.integrate, which the base run looks up at call time."""
+    calls = []
+    real = dynamics.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate", counted)
+    return calls
+
+
+def planted_candidate(n):
+    v = Vars(n)
+    return SymmetryCandidate(n, v.zero, (v.zero,) * (n - 1), (v.b(1),) + (v.zero,) * (n - 1))
+
+
+def probe_candidates(n):
+    return [build_Y(k, n) for k in range(-1, 4)] + [planted_candidate(n)]
+
+
+PROBE_EPS = (1e-3, 5e-4, 2.5e-4)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"t_end": 0.0}, "this grid has 1"),
+        ({"t_end": 5e-4, "sample_stride": 1}, "this grid has 2"),
+        ({"t_end": 0.01, "dt": 1e-3, "sample_stride": 10}, "this grid has 2"),
+        ({"sample_stride": 0}, "sample_stride must be >= 1, got 0"),
+        ({"sample_stride": -1}, "sample_stride must be >= 1, got -1"),
+    ],
+    ids=["t_end-0", "t_end-dt", "one-stride", "stride-0", "stride-negative"],
+)
+def test_symmetry_map_rejects_short_grid_and_bad_stride(base_runs, kwargs, message):
+    z0 = PhasePoint((0.5,), (0.0, 0.0))
+    symmetry_map_test(build_Y(1, 2), z0, 1e-3, t_end=0.05)
+    before = base_runs.cache_info()
+    with pytest.raises(ValueError, match=message):
+        symmetry_map_test(build_Y(1, 2), z0, 1e-3, **kwargs)
+    # rejected before the memo is consulted, so no cache state can change the error
+    assert base_runs.cache_info() == before
+
+
+def test_memoised_probe_equals_uncached_reference(base_runs):
+    # probe's z0 ranges and eps values over N = 3..6, the z0 interleaved in a
+    # shuffled op order; t_end = 0.25 keeps the 72 reference integrations short
+    rng = random.Random(20240818)
+    ops = []
+    for n in (3, 4, 5, 6):
+        z0 = PhasePoint(
+            tuple(rng.uniform(0.2, 0.5) for _ in range(n - 1)),
+            tuple(rng.uniform(-0.4, 0.4) for _ in range(n)),
+        )
+        ops += [(cand, z0, eps) for cand in probe_candidates(n) for eps in PROBE_EPS]
+    rng.shuffle(ops)
+    for cand, z0, eps in ops:
+        fast = symmetry_map_test(cand, z0, eps, t_end=0.25)
+        slow = ref.symmetry_map_test(cand, z0, eps, t_end=0.25)
+        assert fast == slow
+    assert base_runs.cache_info().misses == 4
+
+
+def test_probe_integrates_once_per_z0(base_runs, integrations, np_rng):
+    z0 = random_point(np_rng, 3, a_range=(0.2, 0.5), b_range=(-0.4, 0.4))
+    for cand in probe_candidates(3):
+        for eps in PROBE_EPS:
+            symmetry_map_test(cand, z0, eps)
+    assert len(integrations) == 1
+    assert base_runs.cache_info().hits == 17
+
+
+def test_base_run_key_covers_every_grid_parameter(base_runs, integrations):
+    z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0))
+    cand = build_Y(1, 3)
+    base = {"t_end": 0.1, "dt": 1e-3, "sample_stride": 5}
+    symmetry_map_test(cand, z0, 1e-3, **base)
+    symmetry_map_test(cand, z0, 5e-4, **base)
+    assert len(integrations) == 1
+    shifted_start = PhasePoint(z0.a, z0.b, 0.5)
+    symmetry_map_test(cand, shifted_start, 1e-3, **base)
+    assert len(integrations) == 2
+    for change in ({"t_end": 0.2}, {"dt": 5e-4}, {"sample_stride": 4}):
+        before = len(integrations)
+        symmetry_map_test(cand, z0, 1e-3, **{**base, **change})
+        assert len(integrations) == before + 1, change
+    assert base_runs.cache_info().misses == 5
+
+
+def test_base_run_key_ignores_entry_types(base_runs, integrations):
+    # lists and numpy floats become float tuples: a hashable key, the same run
+    z0 = PhasePoint((0.5, 0.25), (0.125, -0.25, 0.0))
+    same = PhasePoint([np.float64(0.5), 0.25], np.array([0.125, -0.25, 0.0]), 0)
+    for point in (z0, same):
+        symmetry_map_test(build_Y(1, 3), point, 1e-3, t_end=0.1)
+    assert len(integrations) == 1
+
+
+def test_base_run_arrays_are_read_only(base_runs):
+    z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0))
+    symmetry_map_test(build_Y(1, 3), z0, 1e-3, t_end=0.1)
+    traj, baseline = base_runs(z0, 0.1, 5e-4, 5)
+    assert base_runs.cache_info().hits == 1
+    for array in (traj.times, traj.states, baseline):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_aborted_base_run_is_not_cached(base_runs, integrations):
+    # the coarse step drives a coupling through zero (see the abort test above)
+    z0 = PhasePoint((1.6, 1.9), (1.9, -1.7, -0.4))
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="crossed zero"):
+            symmetry_map_test(build_Y(1, 3), z0, 1e-3, t_end=20.0, dt=0.55, sample_stride=1)
+    assert len(integrations) == 2
+    assert base_runs.cache_info().currsize == 0
 
 
 # -- one-matrix field and one-call residuals against the reference loops ----------------
