@@ -24,6 +24,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 
 from .dynamics import drift_report, integrate, symmetry_map_test
 from .hierarchy import master_field, poisson_tensor
@@ -94,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_sizes,
         help="comma-separated lattice sizes (default 2,3,4)",
     )
-    p_verify.add_argument("--nmax", type=int, help="top hierarchy index")
+    p_verify.add_argument(
+        "--nmax", type=int, help="depth of every suite: all index ranges grow with it (default 4)"
+    )
     p_verify.add_argument(
         "--suites",
         default=",".join(ALL_SUITES),
@@ -220,6 +223,8 @@ def cmd_simulate(args) -> int:
         raise BadInput(f"symmetry index must be >= -1, got {args.symmetry}")
     try:
         traj = integrate(z0, args.tend, args.dt)
+        if args.symmetry is not None:
+            probe = symmetry_map_test(build_Y(args.symmetry, z0.n), z0, args.eps)
     except ValueError as exc:
         raise BadInput(str(exc))
     except RuntimeError as exc:
@@ -235,14 +240,7 @@ def cmd_simulate(args) -> int:
             handle.write("\n")
     payload = report.to_json_obj()
     if args.symmetry is not None:
-        result = symmetry_map_test(build_Y(args.symmetry, z0.n), z0, args.eps)
-        payload["symmetry_map"] = {
-            "k": args.symmetry,
-            "eps": result.eps,
-            "defect": result.defect,
-            "raw_residual": result.raw_residual,
-            "baseline_residual": result.baseline_residual,
-        }
+        payload["symmetry_map"] = {"k": args.symmetry, **asdict(probe)}
     if args.json:
         print(json.dumps(payload, indent=2))
     else:

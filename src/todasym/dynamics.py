@@ -149,6 +149,13 @@ def integrate(
     return Trajectory(n, np.array(times), np.array(states))
 
 
+# integrate steps at roughly 2e4 steps/s on one core and keeps every stored
+# state in a list, so 1e7 steps is minutes of work and over a GB of states
+# at store_stride 1.  A larger count is refused before any step runs; the
+# longest run any caller, test or demo needs is 40,000 steps.
+MAX_STEPS = 10**7
+
+
 def _step_count(t_end: float, dt: float) -> tuple[int, bool]:
     """Number of RK4 steps from 0 to t_end, and whether the last one is short."""
     if dt <= 0:
@@ -159,9 +166,12 @@ def _step_count(t_end: float, dt: float) -> tuple[int, bool]:
     if not math.isfinite(ratio):
         raise ValueError(f"t_end / dt = {ratio} is not a finite step count")
     steps = round(ratio)
-    if math.isclose(ratio, steps, rel_tol=1e-9):
-        return steps, False
-    return math.floor(ratio) + 1, True
+    short = not math.isclose(ratio, steps, rel_tol=1e-9)
+    if short:
+        steps = math.floor(ratio) + 1
+    if steps > MAX_STEPS:
+        raise ValueError(f"t_end / dt = {ratio:.6g} steps exceeds the limit of {MAX_STEPS}")
+    return steps, short
 
 
 def spectrum(point: PhasePoint) -> np.ndarray:

@@ -348,31 +348,6 @@ class Polynomial:
         out = {m - one: c * e for m, c in self._nums.items() if (e := (m >> shift) & _MASK)}
         return _make(self.n, out, self._den)
 
-    def evaluate(self, point: Mapping[str, object]):
-        """Substitute a value for every variable that appears.
-
-        Exact (Fraction) when all supplied values are int or Fraction,
-        float otherwise.  Variables absent from the polynomial need not be
-        assigned; a used-but-unassigned variable is an error.
-        """
-        names = var_names(self.n)
-        decoded = list(self.terms.items())
-        used = [i for i in range(len(names)) if any(m[i] for m, _ in decoded)]
-        missing = [names[i] for i in used if names[i] not in point]
-        if missing:
-            raise ValueError(f"missing assignment for {', '.join(missing)}")
-        values = {i: point[names[i]] for i in used}
-        exact = all(isinstance(v, (int, Fraction)) for v in values.values())
-        total = Fraction(0) if exact else 0.0
-        for mono, coeff in decoded:
-            term = coeff if exact else float(coeff)
-            for i in used:
-                e = mono[i]
-                if e:
-                    term = term * values[i] ** e
-            total = total + term
-        return total
-
     # -- predicates and views ------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -388,28 +363,11 @@ class Polynomial:
 
     __hash__ = None
 
-    def total_degree(self) -> int:
-        """Maximum term degree; 0 for the zero polynomial."""
-        return max(map(sum, self.terms), default=0)
-
     def involves(self, name: str) -> bool:
         idx = _name_index(self.n).get(name)
         if idx is None:
             raise UniverseError(f"unknown variable {name!r} for lattice size {self.n}")
         return bool((reduce(or_, self._nums, 0) >> _layout(self.n).shifts[idx]) & _MASK)
-
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        """True when all terms share one total degree (optionally a given one).
-
-        The grading counts the t exponent like any other variable; callers
-        checking phase-space homogeneity should pass t-free polynomials.
-        """
-        degrees = set(map(sum, self.terms))
-        if not degrees:
-            return True
-        if len(degrees) > 1:
-            return False
-        return degree is None or degrees == {degree}
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in graded lexicographic order.

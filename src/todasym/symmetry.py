@@ -74,24 +74,6 @@ class SymmetryCandidate:
     def from_field(cls, field: VectorField) -> "SymmetryCandidate":
         return cls(field.n, Polynomial.zero(field.n), field.a, field.b)
 
-    def __add__(self, other: "SymmetryCandidate") -> "SymmetryCandidate":
-        if self.n != other.n:
-            raise ValueError("candidates live over different lattice sizes")
-        return SymmetryCandidate(
-            self.n,
-            self.tau + other.tau,
-            tuple(p + q for p, q in zip(self.phi, other.phi)),
-            tuple(p + q for p, q in zip(self.psi, other.psi)),
-        )
-
-    def scale(self, c) -> "SymmetryCandidate":
-        return SymmetryCandidate(
-            self.n,
-            self.tau.scale(c),
-            tuple(p.scale(c) for p in self.phi),
-            tuple(p.scale(c) for p in self.psi),
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymmetryCandidate):
             return NotImplemented
@@ -138,12 +120,6 @@ class DeterminingResidual:
             if not poly.is_zero():
                 return f"delta_{j}", poly
         return None
-
-    def __add__(self, other: "DeterminingResidual") -> "DeterminingResidual":
-        return DeterminingResidual(
-            tuple(p + q for p, q in zip(self.gamma, other.gamma)),
-            tuple(p + q for p, q in zip(self.delta, other.delta)),
-        )
 
 
 def total_derivative(f: Polynomial) -> Polynomial:

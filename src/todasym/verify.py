@@ -16,6 +16,20 @@ empty, and the witness of a failure is the residual's first nonzero slot
 with that slot's leading term.  ``_check`` applies the rule to every suite
 but two: the theorem suite takes its witness from the determining
 residuals, and the equivalence suite also reports the multiple k.
+
+``n_max`` is the one depth of every suite; ``n_max = 4`` is the default
+grid.  Each suite is a function of (sorted sizes, n_max):
+
+    transcription       no depth (n_max is ignored)
+    hamiltonian-ladder  X_k(H_m), 0 <= k <= n_max, 1 <= m <= n_max;
+                        X_{-1}(H_m), 2 <= m <= n_max + 1; X_{-1}(H_1)
+    theorem             Y_k, -1 <= k <= n_max - 1
+    chi-brackets        [X_k, chi_l], 0 <= k <= n_max - 1, 1 <= l <= n_max
+    poisson             Schouten and involution for w_1..w_{n_max-1}
+                        (1 <= m <= l <= n_max); the ladder for
+                        2 <= k <= n_max - 1, 1 <= l <= n_max - 1; the
+                        scaling corners L_{X_0} w_1 and L_{X_2} w_1
+    equivalence         [X_i, X_j], 0 <= i, j <= n_max - 1
 """
 
 from __future__ import annotations
@@ -122,7 +136,7 @@ def _slots(residual):
 # ---------------------------------------------------------------------------
 
 
-def suite_transcription(ns) -> list[CheckResult]:
+def suite_transcription(ns, n_max: int) -> list[CheckResult]:
     """Fixed-point checks on the explicit low-order objects."""
     out = []
     for n in ns:
@@ -161,13 +175,13 @@ def suite_transcription(ns) -> list[CheckResult]:
     return out
 
 
-def suite_hamiltonian_ladder(ns, k_max: int) -> list[CheckResult]:
+def suite_hamiltonian_ladder(ns, n_max: int) -> list[CheckResult]:
     """X_k(H_m) = (k+m) H_{k+m}, plus the lowering field X_{-1}."""
     out = []
     for n in ns:
-        for k in range(0, k_max + 1):
+        for k in range(0, n_max + 1):
             x = master_field(k, n)
-            for m in range(1, 5):
+            for m in range(1, n_max + 1):
                 lhs = x.apply(hamiltonian(m, n))
                 rhs = hamiltonian(k + m, n).scale(k + m)
                 out.append(
@@ -180,7 +194,7 @@ def suite_hamiltonian_ladder(ns, k_max: int) -> list[CheckResult]:
                     )
                 )
         lower = master_field(-1, n)
-        for m in range(2, 6):
+        for m in range(2, n_max + 2):
             diff = lower.apply(hamiltonian(m, n)) - hamiltonian(m - 1, n).scale(m - 1)
             out.append(
                 _check(
@@ -205,10 +219,10 @@ def suite_hamiltonian_ladder(ns, k_max: int) -> list[CheckResult]:
     return out
 
 
-def suite_theorem(ns, k_max: int = 3) -> list[CheckResult]:
+def suite_theorem(ns, n_max: int) -> list[CheckResult]:
     out = []
     for n in ns:
-        for case in verify_theorem(k_max, n):
+        for case in verify_theorem(n_max - 1, n):
             out.append(
                 CheckResult(
                     "theorem",
@@ -223,11 +237,11 @@ def suite_theorem(ns, k_max: int = 3) -> list[CheckResult]:
     return out
 
 
-def suite_chi_brackets(ns, k_range=(0, 1, 2, 3), l_range=(1, 2, 3, 4)) -> list[CheckResult]:
+def suite_chi_brackets(ns, n_max: int) -> list[CheckResult]:
     out = []
     for n in ns:
-        for k in k_range:
-            for l in l_range:
+        for k in range(0, n_max):
+            for l in range(1, n_max + 1):
                 lhs = master_field(k, n).bracket(chi(l, n))
                 rhs = chi(k + l, n).scale(l - 1)
                 out.append(
@@ -242,11 +256,12 @@ def suite_chi_brackets(ns, k_range=(0, 1, 2, 3), l_range=(1, 2, 3, 4)) -> list[C
     return out
 
 
-def suite_poisson(ns) -> list[CheckResult]:
+def suite_poisson(ns, n_max: int) -> list[CheckResult]:
     """Jacobi certificates, involution, the chi ladder and tensor scaling."""
     out = []
+    tensors = range(1, n_max)
     for n in ns:
-        for k in (1, 2, 3):
+        for k in tensors:
             out.append(
                 _check(
                     "poisson",
@@ -256,10 +271,10 @@ def suite_poisson(ns) -> list[CheckResult]:
                     schouten_self(poisson_tensor(k, n)),
                 )
             )
-        for k in (1, 2, 3):
+        for k in tensors:
             w = poisson_tensor(k, n)
-            for m in range(1, 5):
-                for l in range(m, 5):
+            for m in range(1, n_max + 1):
+                for l in range(m, n_max + 1):
                     out.append(
                         _check(
                             "poisson",
@@ -269,8 +284,8 @@ def suite_poisson(ns) -> list[CheckResult]:
                             poisson_bracket(w, hamiltonian(m, n), hamiltonian(l, n)),
                         )
                     )
-        for k in (2, 3):
-            for l in (1, 2, 3):
+        for k in range(2, n_max):
+            for l in range(1, n_max):
                 diff = chi_ladder(l, k, n) - chi_ladder(l + 1, k - 1, n)
                 out.append(
                     _check(
@@ -281,43 +296,31 @@ def suite_poisson(ns) -> list[CheckResult]:
                         diff,
                     )
                 )
-        out.extend(_tensor_scaling_checks(n))
+        # L_{X_k} w_m = (m-k-2) w_{k+m} at two fixed corners, the same at every
+        # n_max: (k, m) = (1, 1) and (1, 2) define w_2 and w_3, so the informative
+        # cases are the Euler scaling (0, 1) and the off-construction pair (2, 1)
+        w1 = poisson_tensor(1, n)
+        euler = lie_derivative(master_field(0, n), w1) - w1.scale(-1)
+        off = lie_derivative(master_field(2, n), w1) - poisson_tensor(3, n).scale(-3)
+        out += [
+            _check(
+                "poisson",
+                "scaling-X0-w1",
+                "L_{X_0} w_1 = -w_1 (linear entries, Euler grading)",
+                {"N": n},
+                euler,
+            ),
+            _check("poisson", "scaling-X2-w1", "L_{X_2} w_1 = -3 w_3", {"N": n}, off),
+        ]
     return out
 
 
-def _tensor_scaling_checks(n: int) -> list[CheckResult]:
-    """L_{X_k} w_m = (m-k-2) w_{k+m} at the cross-check corners.
-
-    The (k, m) = (1, 1) and (1, 2) instances define w_2 and w_3, so the
-    informative cases are the Euler scaling and the off-construction pair
-    (2, 1).
-    """
-    euler = lie_derivative(master_field(0, n), poisson_tensor(1, n))
-    lhs = lie_derivative(master_field(2, n), poisson_tensor(1, n))
-    return [
-        _check(
-            "poisson",
-            "scaling-X0-w1",
-            "L_{X_0} w_1 = -w_1 (linear entries, Euler grading)",
-            {"N": n},
-            euler - poisson_tensor(1, n).scale(-1),
-        ),
-        _check(
-            "poisson",
-            "scaling-X2-w1",
-            "L_{X_2} w_1 = -3 w_3",
-            {"N": n},
-            lhs - poisson_tensor(3, n).scale(-3),
-        ),
-    ]
-
-
-def suite_equivalence(ns, index_range=(0, 1, 2, 3)) -> list[CheckResult]:
+def suite_equivalence(ns, n_max: int) -> list[CheckResult]:
     """[X_i, X_j] - (j-i) X_{i+j} = k chi_{i+j+1}; each k is reported."""
     out = []
     for n in ns:
-        for i in index_range:
-            for j in index_range:
+        for i in range(0, n_max):
+            for j in range(0, n_max):
                 bracket = master_field(i, n).bracket(master_field(j, n))
                 target = master_field(i + j, n).scale(j - i)
                 k = equivalent_mod_chi(bracket, target, i + j + 1)
@@ -340,14 +343,14 @@ def suite_equivalence(ns, index_range=(0, 1, 2, 3)) -> list[CheckResult]:
     return out
 
 
-# suite name -> runner over (sorted sizes, n_max), in report order
+# suite name -> suite(sorted sizes, n_max), in report order
 SUITES = {
-    "transcription": lambda ns, n_max: suite_transcription(ns),
+    "transcription": suite_transcription,
     "hamiltonian-ladder": suite_hamiltonian_ladder,
-    "theorem": lambda ns, n_max: suite_theorem(ns, min(n_max, 3)),
-    "chi-brackets": lambda ns, n_max: suite_chi_brackets(ns),
-    "poisson": lambda ns, n_max: suite_poisson(ns),
-    "equivalence": lambda ns, n_max: suite_equivalence(ns),
+    "theorem": suite_theorem,
+    "chi-brackets": suite_chi_brackets,
+    "poisson": suite_poisson,
+    "equivalence": suite_equivalence,
 }
 ALL_SUITES = tuple(SUITES)
 

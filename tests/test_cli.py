@@ -132,13 +132,20 @@ PINNED_STDOUT = [
         "9e1e264d900d413cf45525181de14d6231b9fa9efb9a935192a3e33587f6e25a",
     ),
     (
+        # the deep grid: 789 checks, all exact passes, every equivalence k is 0
+        ["verify", "--n", "2,3,4", "--nmax", "6", "--json"],
+        "8c6dfab8ba303cdb60d7ed3bbe0c1ac96d5a0e87322f95b2c1aa08a77a5159aa",
+    ),
+    (
         ["hierarchy", "--n", "4", "--nmax", "4"],
         "178fb76dc488541965384eee8056894b898e47e040b8557511a11b12c38d10fd",
     ),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=["verify", "hierarchy"])
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_STDOUT, ids=["verify", "verify-nmax6", "hierarchy"]
+)
 def test_report_bytes_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
@@ -249,6 +256,18 @@ def test_simulate_symmetry_map_option(capsys, tmp_path):
     assert payload["symmetry_map"]["defect"] < 1e-4
 
 
+def test_simulate_symmetry_probe_abort_exits_one(capsys, tmp_path):
+    # the run itself at dt=1e-7 is fine; the probe's own run at dt=5e-4
+    # drives a_1 through zero
+    init = write_init(tmp_path, {"a": [1000.0, 1000.0], "b": [0.0, 0.0, 0.0]})
+    argv = ["simulate", init, "--tend", "0.0001", "--dt", "1e-7", "--symmetry", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("integration aborted: off-diagonal entry crossed zero")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -259,14 +278,17 @@ def test_simulate_symmetry_map_option(capsys, tmp_path):
         ["--assert", "--tol", "nan"],
         ["--nmax", "0"],
         ["--tend", "1e300", "--dt", "1e-300"],
+        ["--tend", "1e9", "--dt", "1e-3"],
     ],
     ids=[
         "dt-nan", "tend-inf", "eps-nan", "symmetry-below-minus-one", "tol-nan", "nmax-0",
-        "step-count-overflow",
+        "step-count-overflow", "step-count-over-limit",
     ],
 )
 def test_simulate_bad_number_exits_two(capsys, tmp_path, extra):
-    init = write_init(tmp_path, {"a": [0.4], "b": [0.1, -0.2]})
+    # a run from a_1 = 1000 aborts within a few steps (exit 1), so exit 2
+    # also shows that each bad number is refused before integrating
+    init = write_init(tmp_path, {"a": [1000.0], "b": [0.0, 0.0]})
     code, out, err = run_cli(
         capsys, ["simulate", init, "--tend", "0.1", "--dt", "0.01", *extra]
     )

@@ -24,6 +24,7 @@ from todasym.lattice import PhasePoint, toda_rhs
 from todasym.ratpoly import Vars
 from todasym.symmetry import SymmetryCandidate, build_Y
 import reference_dynamics as ref
+from algebra_helpers import evaluate
 
 
 def random_point(rng, n, a_range=(0.1, 0.6), b_range=(-0.5, 0.5)):
@@ -79,6 +80,18 @@ def test_step_count_must_be_finite():
     point = PhasePoint((0.5,), (0.0, 0.0))
     with pytest.raises(ValueError, match="finite step count"):
         integrate(point, 1e300, 1e-300)
+
+
+def test_step_count_is_bounded():
+    limit = dynamics.MAX_STEPS
+    assert dynamics._step_count(limit * 1e-3, 1e-3) == (limit, False)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        dynamics._step_count(limit * 1e-3 + 1e-4, 1e-3)
+    # 1e9 / 1e-3 is 1e12 steps; a run from a_1 = 1000 aborts within a few
+    # steps, so the ValueError shows the count is refused before any step
+    point = PhasePoint((1000.0,), (0.0, 0.0))
+    with pytest.raises(ValueError, match="exceeds the limit of 10000000"):
+        integrate(point, 1e9, 1e-3)
 
 
 @pytest.mark.parametrize("stride", [0, -1])
@@ -137,7 +150,7 @@ def test_compiled_field_matches_exact_evaluation(np_rng):
         x = np_rng.uniform(-1.0, 1.0, size=2 * n - 1)
         values = {f"a{i}": x[i - 1] for i in range(1, n)}
         values.update({f"b{i}": x[n - 2 + i] for i in range(1, n + 1)})
-        expected = [c.evaluate(values) for c in field.components()]
+        expected = [evaluate(c, values) for c in field.components()]
         assert np.allclose(compiled(x, 0.0), expected)
 
 

@@ -1,4 +1,4 @@
-"""The one pass/fail rule of the verify suites and its failure witnesses."""
+"""The one pass/fail rule of the verify suites, its witnesses and the depth n_max."""
 
 import pytest
 
@@ -6,7 +6,8 @@ from todasym.fields import VectorField
 from todasym.hierarchy import poisson_tensor
 from todasym.poisson import PoissonTensor, schouten_self
 from todasym.ratpoly import Vars
-from todasym.verify import EXACT, FAIL, _check, _witness
+from todasym import verify
+from todasym.verify import EXACT, FAIL, VerifyConfig, _check, _witness, run_verify
 
 v = Vars(2)
 z = v.zero
@@ -55,3 +56,29 @@ def test_witness_is_first_nonzero_slot_leading_term(residual, empty, expected):
     assert (failed.status, failed.witness) == (FAIL, expected)
     passed = _check("suite", "name", "statement", {}, empty)
     assert (passed.status, passed.witness) == (EXACT, None)
+
+
+def test_n_max_is_the_depth_of_chi_brackets_and_equivalence(monkeypatch):
+    # one bumped coefficient of X_2 at N=3, seen only through verify's own lookups
+    real = verify.master_field
+    comps = list(real(2, 3).components())
+    comps[0] = verify._mutate_polynomial(comps[0], sorted(comps[0].terms)[0])
+    bad_x2 = VectorField.from_components(3, comps)
+    monkeypatch.setattr(verify, "master_field", lambda k, n: bad_x2 if (k, n) == (2, 3) else real(k, n))
+
+    def failures(n_max):
+        config = VerifyConfig(ns=(3,), n_max=n_max, suites=("chi-brackets", "equivalence"))
+        return [(r.suite, r.name) for r in run_verify(config).failures()]
+
+    # [X2,chi1] holds anyway (chi_1 = 0); [X0,X2] and [X2,X0] only see the grading
+    assert failures(4) == [
+        ("chi-brackets", "[X2,chi2]"),
+        ("chi-brackets", "[X2,chi3]"),
+        ("chi-brackets", "[X2,chi4]"),
+        ("equivalence", "[X1,X2]"),
+        ("equivalence", "[X2,X1]"),
+        ("equivalence", "[X2,X3]"),
+        ("equivalence", "[X3,X2]"),
+    ]
+    # at n_max 2 both suites stop at X_1: X_2 only enters as 0 * X_2 in [X1,X1]
+    assert failures(2) == []
