@@ -250,7 +250,8 @@ def cmd_simulate(args) -> int:
             print(f"H_{m} drift:       {value:.3e}")
         if "symmetry_map" in payload:
             sm = payload["symmetry_map"]
-            print(f"Y_{sm['k']} map defect at eps={sm['eps']:g}: {sm['defect']:.3e}")
+            interval = f"t_end={sm['t_end']}, dt={sm['dt']}"
+            print(f"Y_{sm['k']} map defect at eps={sm['eps']:g}: {sm['defect']:.3e}  ({interval})")
     if args.enforce:
         worst = max(report.eigenvalue_drift, report.max_h_drift())
         if worst >= args.tol:

@@ -4,7 +4,11 @@ Everything here is deliberately plain: a fixed-step classical fourth-order
 Runge-Kutta stepper (trajectories of interest are short and smooth, and a
 fixed step keeps drift assertions deterministic), LAPACK's symmetric
 tridiagonal eigensolver for spectra, and finite differences to measure how
-well a perturbed trajectory still satisfies the equations.
+well a perturbed trajectory still satisfies the equations.  The stepper
+allocates its buffers once per run (stage point, k1..k4, weighted sum) and
+writes every velocity, stage and update into them with ``out=`` ufuncs in
+the allocating loop's order, so the states keep its bits; the Toda velocity
+is the in-place ``lattice.toda_velocity``.
 
 The continuous Toda flow preserves a_i > 0 exactly; the discrete stepper
 does not, so crossing a_i <= 0 aborts with a diagnostic (the step size is
@@ -58,14 +62,8 @@ class CompiledField:
         self._weights = np.zeros((rows.size, 2 * field.n - 1))
         self._weights[rows, [i for i, _, _ in terms]] = [c for _, _, c in terms]
 
-    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
-        return np.prod(np.append(x, t) ** self._exps, axis=1) @ self._weights
-
-
-def _toda_func(x: np.ndarray, t: float) -> np.ndarray:
-    n = (len(x) + 1) // 2
-    da, db = toda_velocity(x[: n - 1], x[n - 1 :])
-    return np.concatenate([da, db])
+    def __call__(self, x: np.ndarray, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        return np.matmul(np.prod(np.append(x, t) ** self._exps, axis=1), self._weights, out=out)
 
 
 @dataclass(frozen=True)
@@ -118,27 +116,42 @@ def integrate(
     positive_a = field is None and n > 1 and all(ai > 0 for ai in z0.a)
     if field is not None and field.n != n:
         raise ValueError("field and initial point have different lattice sizes")
-    func = _toda_func if field is None else CompiledField(field)
-
     x = z0.state()
+    y, acc, *k = np.empty((6, x.size))  # stage point (later 2 k3), weighted sum, k1..k4
+    k1, k2, k3, k4 = k
+    points = (x, y, y, y)
+    compiled = None if field is None else CompiledField(field)
+    pad = np.zeros(n + 1)
+    views = [(p[: n - 1], p[n - 1 :], ki[: n - 1], ki[n - 1 :], pad) for p, ki in zip(points, k)]
+
+    def rhs(i: int, t: float) -> None:
+        if compiled is None:
+            toda_velocity(*views[i])
+        else:
+            compiled(points[i], t, out=k[i])
+
+    a = x[: n - 1]
     t = z0.time
     times = [t]
     states = [x.copy()]
     for step in range(1, steps + 1):
         last = short and step == steps
         h = t_end - (step - 1) * dt if last else dt
-        k1 = func(x, t)
-        k2 = func(x + 0.5 * h * k1, t + 0.5 * h)
-        k3 = func(x + 0.5 * h * k2, t + 0.5 * h)
-        k4 = func(x + h * k3, t + h)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rhs(0, t)
+        for i, c in enumerate((0.5 * h, 0.5 * h, h), 1):
+            np.add(x, np.multiply(k[i - 1], c, out=y), out=y)
+            rhs(i, t + c)
+        np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
+        np.add(acc, np.multiply(k3, 2.0, out=y), out=acc)
+        np.add(acc, k4, out=acc)
+        np.add(x, np.multiply(acc, h / 6.0, out=acc), out=x)
         t = z0.time + (t_end if last else step * dt)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise RuntimeError(
                 f"non-finite state at t={t:.6g} (step {step}); "
                 "reduce dt or check the field"
             )
-        if positive_a and np.any(x[: n - 1] <= 0.0):
+        if positive_a and a.min() <= 0.0:
             raise RuntimeError(
                 f"off-diagonal entry crossed zero at t={t:.6g} (step {step}); "
                 "dt is too large for this trajectory"
@@ -149,10 +162,11 @@ def integrate(
     return Trajectory(n, np.array(times), np.array(states))
 
 
-# integrate steps at roughly 2e4 steps/s on one core and keeps every stored
-# state in a list, so 1e7 steps is minutes of work and over a GB of states
-# at store_stride 1.  A larger count is refused before any step runs; the
-# longest run any caller, test or demo needs is 40,000 steps.
+# integrate steps at roughly 2.5e4 steps/s on one core of a shared 2-core
+# host (N = 4..128) and keeps every stored state in a list, so 1e7 steps is
+# minutes of work and over a GB of states at store_stride 1.  A larger count
+# is refused before any step runs; the longest run any caller, test or demo
+# needs is 40,000 steps.
 MAX_STEPS = 10**7
 
 
@@ -240,10 +254,12 @@ class SymmetryMapResult:
     discretization), and defect the max residual after subtracting the
     baseline arrays, which isolates the part introduced by the perturbation.
     For a true symmetry the defect scales like eps^2, for anything else
-    like eps.
+    like eps.  t_end and dt are the length and step of the base run from z0.
     """
 
     eps: float
+    t_end: float
+    dt: float
     defect: float
     raw_residual: float
     baseline_residual: float
@@ -282,6 +298,8 @@ def symmetry_map_test(
     perturbed = _grid_residuals(traj.n, traj.times, traj.states + eps * shifts)
     return SymmetryMapResult(
         eps=eps,
+        t_end=t_end,
+        dt=dt,
         defect=float(np.max(np.abs(perturbed - baseline))),
         raw_residual=float(np.max(np.abs(perturbed))),
         baseline_residual=float(np.max(np.abs(baseline))),

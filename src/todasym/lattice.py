@@ -174,14 +174,12 @@ def toda_rhs(n: int) -> VectorField:
     return VectorField(n, a_comps, b_comps)
 
 
-def toda_velocity(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Numeric Toda right-hand side for arrays a (N-1,) and b (N,)."""
-    da = a * (b[1:] - b[:-1])
-    sq = a * a
-    db = np.zeros_like(b)
-    db[:-1] += 2.0 * sq
-    db[1:] -= 2.0 * sq
-    return da, db
+def toda_velocity(a, b, da, db, pad) -> None:
+    """Toda right-hand side of a (N-1,), b (N,) into da, db; pad (N+1,) has zero ends."""
+    np.multiply(a, np.subtract(b[1:], b[:-1], out=da), out=da)
+    sq = np.multiply(a, a, out=pad[1:-1])
+    np.multiply(sq, 2.0, out=sq)  # pad now holds 2 a_i^2 with a_0 = a_N = 0
+    np.subtract(pad[1:], pad[:-1], out=db)
 
 
 def flow_residuals(a, b, adot, bdot) -> tuple[list, list]:

@@ -5,11 +5,12 @@ per component, special-cases empty components and evaluates the components
 one at a time; ``grid_residuals`` calls ``flow_residuals`` once per interior
 sample; ``drift_report`` builds a ``PhasePoint`` per sample and takes its
 spectrum with ``dynamics.spectrum``; ``symmetry_map_test`` integrates its
-base trajectory afresh on every call, with no memo.  They are the original
-implementations, kept as the slow, independent oracle that
-``test_dynamics.py`` compares the one-matrix field, the one-call residuals,
-the row-wise spectra and the memoised probe against.  Nothing in ``src/``
-imports this module.
+base trajectory afresh on every call, with no memo; ``integrate`` is the
+allocating RK4 loop, with a fresh array for every velocity and stage sum.
+They are the original implementations, kept as the slow, independent oracle
+that ``test_dynamics.py`` compares the one-matrix field, the one-call
+residuals, the row-wise spectra, the memoised probe and the preallocated
+stepper against.  Nothing in ``src/`` imports this module.
 """
 
 import numpy as np
@@ -46,6 +47,73 @@ class CompiledField:
             else:
                 out[i] = np.prod(values**exps, axis=1) @ coeffs
         return out
+
+
+def toda_velocity(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Numeric Toda right-hand side for arrays a (N-1,) and b (N,)."""
+    da = a * (b[1:] - b[:-1])
+    sq = a * a
+    db = np.zeros_like(b)
+    db[:-1] += 2.0 * sq
+    db[1:] -= 2.0 * sq
+    return da, db
+
+
+def _toda_func(x: np.ndarray, t: float) -> np.ndarray:
+    n = (len(x) + 1) // 2
+    da, db = toda_velocity(x[: n - 1], x[n - 1 :])
+    return np.concatenate([da, db])
+
+
+def integrate(
+    z0: PhasePoint,
+    t_end: float,
+    dt: float,
+    field: VectorField | None = None,
+    store_stride: int = 1,
+) -> dynamics.Trajectory:
+    """Integrate from z0 with fixed-step classical fourth-order Runge-Kutta.
+
+    The allocating original.  A field is evaluated by the library's
+    ``CompiledField``, so its states must equal ``dynamics.integrate``'s bit
+    for bit.
+    """
+    steps, short = dynamics._step_count(t_end, dt)
+    if store_stride < 1:
+        raise ValueError(f"store_stride must be >= 1, got {store_stride}")
+    n = z0.n
+    positive_a = field is None and n > 1 and all(ai > 0 for ai in z0.a)
+    if field is not None and field.n != n:
+        raise ValueError("field and initial point have different lattice sizes")
+    func = _toda_func if field is None else dynamics.CompiledField(field)
+
+    x = z0.state()
+    t = z0.time
+    times = [t]
+    states = [x.copy()]
+    for step in range(1, steps + 1):
+        last = short and step == steps
+        h = t_end - (step - 1) * dt if last else dt
+        k1 = func(x, t)
+        k2 = func(x + 0.5 * h * k1, t + 0.5 * h)
+        k3 = func(x + 0.5 * h * k2, t + 0.5 * h)
+        k4 = func(x + h * k3, t + h)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = z0.time + (t_end if last else step * dt)
+        if not np.all(np.isfinite(x)):
+            raise RuntimeError(
+                f"non-finite state at t={t:.6g} (step {step}); "
+                "reduce dt or check the field"
+            )
+        if positive_a and np.any(x[: n - 1] <= 0.0):
+            raise RuntimeError(
+                f"off-diagonal entry crossed zero at t={t:.6g} (step {step}); "
+                "dt is too large for this trajectory"
+            )
+        if step % store_stride == 0 or step == steps:
+            times.append(t)
+            states.append(x.copy())
+    return dynamics.Trajectory(n, np.array(times), np.array(states))
 
 
 def grid_residuals(n: int, times: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -89,6 +157,8 @@ def symmetry_map_test(
     perturbed = dynamics._grid_residuals(traj.n, traj.times, traj.states + eps * shifts)
     return dynamics.SymmetryMapResult(
         eps=eps,
+        t_end=t_end,
+        dt=dt,
         defect=float(np.max(np.abs(perturbed - baseline))),
         raw_residual=float(np.max(np.abs(perturbed))),
         baseline_residual=float(np.max(np.abs(baseline))),

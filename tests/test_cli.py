@@ -254,6 +254,21 @@ def test_simulate_symmetry_map_option(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["symmetry_map"]["k"] == 0
     assert payload["symmetry_map"]["defect"] < 1e-4
+    # the probe's own interval, not the run's --tend 0.5 and --dt 1e-3
+    assert payload["symmetry_map"]["t_end"] == 1.0
+    assert payload["symmetry_map"]["dt"] == 5e-4
+
+
+def test_simulate_symmetry_text_states_probe_interval(capsys, tmp_path):
+    init = write_init(tmp_path, {"a": [0.4, 0.3], "b": [0.1, -0.2, 0.3]})
+    code, out, _ = run_cli(
+        capsys,
+        ["simulate", init, "--tend", "0.5", "--dt", "1e-3", "--symmetry", "0", "--eps", "1e-3"],
+    )
+    assert code == 0
+    probe_line = out.splitlines()[-1]
+    assert probe_line.startswith("Y_0 map defect at eps=0.001: ")
+    assert probe_line.endswith("  (t_end=1.0, dt=0.0005)")
 
 
 def test_simulate_symmetry_probe_abort_exits_one(capsys, tmp_path):

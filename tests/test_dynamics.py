@@ -20,7 +20,7 @@ from todasym.dynamics import (
     symmetry_map_test,
 )
 from todasym.fields import VectorField
-from todasym.lattice import PhasePoint, toda_rhs
+from todasym.lattice import PhasePoint, toda_rhs, toda_velocity
 from todasym.ratpoly import Vars
 from todasym.symmetry import SymmetryCandidate, build_Y
 import reference_dynamics as ref
@@ -190,6 +190,104 @@ def test_partial_last_step_from_nonzero_start_time():
     assert traj.times[-1] == 0.75
     # db_1/ds = s from s = 0.5 to 0.75; RK4 is exact on this quadratic
     assert traj.states[-1][1] == pytest.approx((0.75**2 - 0.5**2) / 2, rel=1e-12)
+
+
+# -- the preallocated stepper against the allocating reference loop ------------------
+
+
+def assert_same_bits(fast: Trajectory, slow: Trajectory):
+    assert fast.times.shape == slow.times.shape and fast.states.shape == slow.states.shape
+    assert fast.times.tobytes() == slow.times.tobytes()
+    assert fast.states.tobytes() == slow.states.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 33])
+def test_toda_kernel_matches_allocating_reference(np_rng, n):
+    a = np_rng.uniform(-1.0, 1.0, size=n - 1)
+    b = np_rng.uniform(-1.0, 1.0, size=n)
+    da, db, pad = np.full(n - 1, np.nan), np.full(n, np.nan), np.zeros(n + 1)
+    toda_velocity(a, b, da, db, pad)
+    ref_da, ref_db = ref.toda_velocity(a, b)
+    assert da.tobytes() == ref_da.tobytes() and db.tobytes() == ref_db.tobytes()
+    assert pad[0] == pad[-1] == 0.0
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("n", [2, 3, 8, 33])
+def test_integrate_matches_allocating_reference(np_rng, n, stride):
+    # 50 steps: at stride 7 the final state is stored off the stride
+    z0 = random_point(np_rng, n)
+    fast = integrate(z0, 1.0, 0.02, store_stride=stride)
+    assert_same_bits(fast, ref.integrate(z0, 1.0, 0.02, store_stride=stride))
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_integrate_matches_reference_short_step_and_start_time(np_rng, stride):
+    # 1.0 / 0.03 is not whole: 33 steps of 0.03 and a short one, from t = 0.5
+    point = random_point(np_rng, 5)
+    z0 = PhasePoint(point.a, point.b, 0.5)
+    fast = integrate(z0, 1.0, 0.03, store_stride=stride)
+    assert fast.times[-1] == 1.5
+    assert_same_bits(fast, ref.integrate(z0, 1.0, 0.03, store_stride=stride))
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_integrate_matches_reference_on_time_dependent_field(np_rng, stride):
+    # Y_1 = X_1 + t chi_3 depends on t; the run starts at t = 0.25 and ends short
+    field = build_Y(1, 3).as_field()
+    point = random_point(np_rng, 3)
+    z0 = PhasePoint(point.a, point.b, 0.25)
+    fast = integrate(z0, 0.5, 0.015, field=field, store_stride=stride)
+    assert_same_bits(fast, ref.integrate(z0, 0.5, 0.015, field=field, store_stride=stride))
+
+
+def blow_up_field():
+    # db_1/ds = b_1^2 from b_1 = 1: non-finite in finite time
+    v = Vars(2)
+    return VectorField(2, (v.zero,), (v.b(1) ** 2, v.zero))
+
+
+ABORTS = [
+    (PhasePoint((1.6, 1.9), (1.9, -1.7, -0.4)), 20.0, 0.55, None, "crossed zero"),
+    (PhasePoint((1.0,), (1.0, 0.0)), 20.0, 0.5, blow_up_field(), "non-finite"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("z0, t_end, dt, field, message", ABORTS, ids=["crossing", "non-finite"])
+def test_integrate_aborts_like_allocating_reference(z0, t_end, dt, field, message):
+    raised = []
+    for run in (integrate, ref.integrate):
+        with pytest.raises(RuntimeError, match=message) as info:
+            run(z0, t_end, dt, field=field)
+        raised.append((type(info.value), str(info.value)))
+    # the message names the time and the step, so equal messages mean the same step
+    assert raised[0] == raised[1]
+
+
+def test_toda_velocity_runs_four_times_per_step(monkeypatch):
+    # perfbench counts lattice.toda_velocity through the dynamics module global
+    calls = []
+    real = dynamics.toda_velocity
+
+    def counted(*args):
+        calls.append(len(args))
+        real(*args)
+
+    monkeypatch.setattr(dynamics, "toda_velocity", counted)
+    z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0))
+    traced = integrate(z0, 1.0, 0.3, store_stride=2)  # three steps of 0.3, one of 0.1
+    assert len(calls) == 4 * 4
+    assert list(traced.times) == [0.0, 0.6, 1.0]
+    calls.clear()
+    integrate(z0, 1.0, 0.1)
+    assert len(calls) == 4 * 10
+    calls.clear()
+    integrate(z0, 1.0, 0.1, field=toda_rhs(3))  # a compiled field has its own evaluation
+    assert calls == []
+    monkeypatch.undo()
+    assert_same_bits(traced, integrate(z0, 1.0, 0.3, store_stride=2))
 
 
 # -- order of accuracy -----------------------------------------------------------------

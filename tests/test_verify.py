@@ -3,9 +3,9 @@
 import pytest
 
 from todasym.fields import VectorField
-from todasym.hierarchy import poisson_tensor
+from todasym.hierarchy import master_field, poisson_tensor
 from todasym.poisson import PoissonTensor, schouten_self
-from todasym.ratpoly import Vars
+from todasym.ratpoly import Polynomial, Vars
 from todasym import verify
 from todasym.verify import EXACT, FAIL, VerifyConfig, _check, _witness, run_verify
 
@@ -82,3 +82,47 @@ def test_n_max_is_the_depth_of_chi_brackets_and_equivalence(monkeypatch):
     ]
     # at n_max 2 both suites stop at X_1: X_2 only enters as 0 * X_2 in [X1,X1]
     assert failures(2) == []
+
+
+def x2_mutants(n):
+    """X_2 at size n with one coefficient bumped, one mutant per term."""
+    comps = list(master_field(2, n).components())
+    for idx, comp in enumerate(comps):
+        for mono in sorted(comp.terms):
+            corrupted = list(comps)
+            corrupted[idx] = verify._mutate_polynomial(comp, mono)
+            term = Polynomial(n, {mono: comp.terms[mono]})
+            yield f"component {idx} term {term}", VectorField.from_components(n, corrupted)
+
+
+def w2_mutants(n):
+    """w_2 at size n with one coefficient bumped, one mutant per term."""
+    upper = poisson_tensor(2, n).upper
+    for slot, entry in upper.items():
+        for mono in sorted(entry.terms):
+            corrupted = {**upper, slot: verify._mutate_polynomial(entry, mono)}
+            term = Polynomial(n, {mono: entry.terms[mono]})
+            yield f"entry {slot} term {term}", PoissonTensor(n, corrupted)
+
+
+@pytest.mark.parametrize(
+    "lookup, mutants, count",
+    [("master_field", x2_mutants, 22), ("poisson_tensor", w2_mutants, 7)],
+    ids=["X2", "w2"],
+)
+def test_default_grid_catches_every_x2_and_w2_coefficient(monkeypatch, lookup, mutants, count):
+    # each mutant is seen only through verify's own lookups of (2, 3), as in
+    # the n_max test above; every suite runs at the default depth n_max 4
+    n = 3
+    real = getattr(verify, lookup)
+    config = VerifyConfig(ns=(n,), n_max=4, suites=verify.ALL_SUITES)
+    seen, escaped = 0, []
+    for label, bad in mutants(n):
+        seen += 1
+        monkeypatch.setattr(
+            verify, lookup, lambda k, m, bad=bad: bad if (k, m) == (2, n) else real(k, m)
+        )
+        if not run_verify(config).failures():
+            escaped.append(label)
+    assert seen == count
+    assert escaped == []
