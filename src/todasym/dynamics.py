@@ -12,12 +12,12 @@ is the in-place ``lattice.toda_velocity``.
 
 The continuous Toda flow preserves a_i > 0 exactly; the discrete stepper
 does not, so crossing a_i <= 0 aborts with a diagnostic (the step size is
-too coarse for the data).  A polynomial field is compiled once to an int
-exponent matrix with one row per term over (a, b, t) and a float weight
-matrix holding each term's coefficient in its component's column, so one
-evaluation is a row-wise power product and one matrix product.  The
-finite-difference residuals of a sampled curve are one ``flow_residuals``
-call on the transposed sample arrays.
+too coarse for the data).  A polynomial field is compiled once to per-variable
+exponent columns over (a, b, t) and a weight matrix holding each term's
+coefficient in its component's column; a stack of points is evaluated with a
+power table, a left fold of in-place products over the variables and a
+row-wise product with the weights.  The finite-difference residuals of a
+sampled curve are one ``flow_residuals`` call on the transposed sample arrays.
 
 The symmetry map probe tests many candidates and eps values on one base
 trajectory, so its base run (the strided Toda trajectory and its baseline
@@ -47,7 +47,13 @@ from .symmetry import SymmetryCandidate
 
 
 class CompiledField:
-    """Polynomial vector field flattened to numpy arrays for fast evaluation."""
+    """Polynomial vector field flattened to numpy arrays for fast evaluation.
+
+    Takes points x (S, 2N-1) and times t (S,), or one point and a scalar t, and
+    gives each the bits of ``np.prod(np.append(x, t) ** exps, axis=1) @ weights``:
+    the same powers, factors multiplied in variable order (a factor x**0 is an
+    exact 1.0), and one 1 x T product per row, not an (S, T) block product.
+    """
 
     def __init__(self, field: VectorField):
         self.n = field.n
@@ -57,13 +63,21 @@ class CompiledField:
             for exps, coeff in poly.terms.items()
         ]
         rows = np.arange(len(terms))
-        exps = [e for _, e, _ in terms]
-        self._exps = np.array(exps, dtype=np.int64).reshape(rows.size, 2 * field.n)
+        exps = np.array([e for _, e, _ in terms], dtype=np.int64).reshape(rows.size, 2 * field.n)
+        self._powers = np.arange(exps.max(initial=0) + 1)
+        cols = np.ascontiguousarray(exps.T)
+        self._fold = [(v, cols[v]) for v in np.flatnonzero(cols.any(axis=1))] or [(0, cols[0])]
         self._weights = np.zeros((rows.size, 2 * field.n - 1))
         self._weights[rows, [i for i, _, _ in terms]] = [c for _, _, c in terms]
 
-    def __call__(self, x: np.ndarray, t: float, out: np.ndarray | None = None) -> np.ndarray:
-        return np.matmul(np.prod(np.append(x, t) ** self._exps, axis=1), self._weights, out=out)
+    def __call__(self, x: np.ndarray, t, out: np.ndarray | None = None) -> np.ndarray:
+        table = np.concatenate((x, np.expand_dims(t, -1)), axis=-1)[..., None] ** self._powers
+        (v, col), *rest = self._fold
+        monos = np.ascontiguousarray(table[..., v, col])  # strided rows would sum differently
+        for v, col in rest:
+            monos *= table[..., v, col]
+        target = None if out is None else out[..., None, :]
+        return np.matmul(monos[..., None, :], self._weights, out=target)[..., 0, :]
 
 
 @dataclass(frozen=True)
@@ -282,8 +296,8 @@ def symmetry_map_test(
     module docstring).  A sample grid that is not uniform (see integrate) or
     has fewer than three samples raises ValueError.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if not cand.is_evolutionary():
         raise ValueError("the map test applies to evolutionary candidates (tau = 0)")
     if sample_stride < 1:
@@ -293,8 +307,7 @@ def symmetry_map_test(
     if samples < 3:
         raise ValueError(f"the map test needs >= 3 samples, this grid has {samples}")
     traj, baseline = _base_run(z0, t_end, dt, sample_stride)
-    compiled = CompiledField(cand.as_field())
-    shifts = np.array([compiled(x, float(t)) for x, t in zip(traj.states, traj.times)])
+    shifts = CompiledField(cand.as_field())(traj.states, traj.times)
     perturbed = _grid_residuals(traj.n, traj.times, traj.states + eps * shifts)
     return SymmetryMapResult(
         eps=eps,

@@ -2,15 +2,18 @@
 
 ``CompiledField`` here keeps one (exponent array, coefficient vector) pair
 per component, special-cases empty components and evaluates the components
-one at a time; ``grid_residuals`` calls ``flow_residuals`` once per interior
+one at a time; ``MatrixField`` evaluates one point at a time with one
+exponent matrix and one weight matrix, a row-wise power product and one
+matrix product; ``grid_residuals`` calls ``flow_residuals`` once per interior
 sample; ``drift_report`` builds a ``PhasePoint`` per sample and takes its
 spectrum with ``dynamics.spectrum``; ``symmetry_map_test`` integrates its
-base trajectory afresh on every call, with no memo; ``integrate`` is the
-allocating RK4 loop, with a fresh array for every velocity and stage sum.
-They are the original implementations, kept as the slow, independent oracle
-that ``test_dynamics.py`` compares the one-matrix field, the one-call
-residuals, the row-wise spectra, the memoised probe and the preallocated
-stepper against.  Nothing in ``src/`` imports this module.
+base trajectory afresh on every call, with no memo, and evaluates the shifts
+one sample at a time; ``integrate`` is the allocating RK4 loop, with a fresh
+array for every velocity and stage sum.  They are the original
+implementations, kept as the slow, independent oracle that
+``test_dynamics.py`` compares the stacked field, the one-call residuals, the
+row-wise spectra, the memoised probe and the preallocated stepper against.
+Nothing in ``src/`` imports this module.
 """
 
 import numpy as np
@@ -49,6 +52,30 @@ class CompiledField:
         return out
 
 
+class MatrixField:
+    """Polynomial vector field flattened to numpy arrays for fast evaluation.
+
+    The one-matrix, one-point evaluator: ``dynamics.CompiledField`` must give
+    its bytes for every point, whether called on one point or on a stack.
+    """
+
+    def __init__(self, field: VectorField):
+        self.n = field.n
+        terms = [
+            (i, exps, float(coeff))
+            for i, poly in enumerate(field.components())
+            for exps, coeff in poly.terms.items()
+        ]
+        rows = np.arange(len(terms))
+        exps = [e for _, e, _ in terms]
+        self._exps = np.array(exps, dtype=np.int64).reshape(rows.size, 2 * field.n)
+        self._weights = np.zeros((rows.size, 2 * field.n - 1))
+        self._weights[rows, [i for i, _, _ in terms]] = [c for _, _, c in terms]
+
+    def __call__(self, x: np.ndarray, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        return np.matmul(np.prod(np.append(x, t) ** self._exps, axis=1), self._weights, out=out)
+
+
 def toda_velocity(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Numeric Toda right-hand side for arrays a (N-1,) and b (N,)."""
     da = a * (b[1:] - b[:-1])
@@ -74,9 +101,9 @@ def integrate(
 ) -> dynamics.Trajectory:
     """Integrate from z0 with fixed-step classical fourth-order Runge-Kutta.
 
-    The allocating original.  A field is evaluated by the library's
-    ``CompiledField``, so its states must equal ``dynamics.integrate``'s bit
-    for bit.
+    The allocating original.  A field is evaluated one point at a time by
+    ``MatrixField``, so its states must equal ``dynamics.integrate``'s bit for
+    bit.
     """
     steps, short = dynamics._step_count(t_end, dt)
     if store_stride < 1:
@@ -85,7 +112,7 @@ def integrate(
     positive_a = field is None and n > 1 and all(ai > 0 for ai in z0.a)
     if field is not None and field.n != n:
         raise ValueError("field and initial point have different lattice sizes")
-    func = _toda_func if field is None else dynamics.CompiledField(field)
+    func = _toda_func if field is None else MatrixField(field)
 
     x = z0.state()
     t = z0.time
@@ -142,16 +169,17 @@ def symmetry_map_test(
 ) -> dynamics.SymmetryMapResult:
     """Push a solution by eps times a candidate field and re-test the equations.
 
-    The uncached original: it integrates the base trajectory on every call.
-    It uses the library's field and residuals (not the loops above), so its
-    results must equal the memoised probe's bit for bit.
+    The uncached original: it integrates the base trajectory on every call
+    and evaluates ``MatrixField`` one sample at a time.  It uses the library's
+    residuals (not the loop above), so its results must equal the memoised,
+    stacked probe's bit for bit.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not cand.is_evolutionary():
         raise ValueError("the map test applies to evolutionary candidates (tau = 0)")
     traj = dynamics.integrate(z0, t_end, dt, store_stride=sample_stride)
-    compiled = dynamics.CompiledField(cand.as_field())
+    compiled = MatrixField(cand.as_field())
     shifts = np.array([compiled(x, float(t)) for x, t in zip(traj.states, traj.times)])
     baseline = dynamics._grid_residuals(traj.n, traj.times, traj.states)
     perturbed = dynamics._grid_residuals(traj.n, traj.times, traj.states + eps * shifts)

@@ -409,6 +409,22 @@ def test_symmetry_map_rejects_nonuniform_grid(np_rng):
         symmetry_map_test(build_Y(1, 3), z0, 1e-3, t_end=0.3, sample_stride=7)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf], ids=["nan", "inf"])
+def test_symmetry_map_rejects_non_finite_eps(eps):
+    z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0))
+    with pytest.raises(ValueError, match=f"eps must be positive and finite, got {eps}"):
+        symmetry_map_test(build_Y(1, 3), z0, eps, t_end=0.1)
+
+
+def test_zero_candidate_has_zero_defect(np_rng):
+    n = 3
+    v = Vars(n)
+    zero = SymmetryCandidate(n, v.zero, (v.zero,) * (n - 1), (v.zero,) * n)
+    result = symmetry_map_test(zero, random_point(np_rng, n), 1e-3, t_end=0.25)
+    assert result.defect == 0.0
+    assert result.raw_residual == result.baseline_residual
+
+
 def test_symmetry_map_rejects_nonzero_tau():
     from todasym.symmetry import candidate_time_translation
 
@@ -586,6 +602,51 @@ def test_compiled_field_empty_and_time_dependent(np_rng):
         (v.t, v.zero, v.a(2) * v.b(1) - v.t * v.b(4) ** 2, 3 * v.t**3),
     )
     assert_fields_agree(timed, traj)
+    assert_one_point_bits(timed, traj)
+
+
+# -- the stacked field against the one-matrix, one-point evaluator ----------------------
+
+
+def assert_one_point_bits(field, traj):
+    """Stacked, single-point and out= calls all give the oracle's bytes."""
+    fast, slow = CompiledField(field), ref.MatrixField(field)
+    expected = np.array([slow(x, float(t)) for x, t in zip(traj.states, traj.times)])
+    stacked = fast(traj.states, traj.times)
+    assert stacked.shape == traj.states.shape
+    assert stacked.tobytes() == expected.tobytes()
+    out = np.full(traj.states.shape[1], np.nan)
+    for x, t, row in zip(traj.states, traj.times, expected):
+        assert fast(x, float(t)).tobytes() == row.tobytes()
+        fast(x, float(t), out=out)
+        assert out.tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacked_field_has_one_point_bits_on_Y(np_rng, n):
+    traj = oracle_states(np_rng, n)
+    for k in range(-1, 5):
+        assert_one_point_bits(build_Y(k, n).as_field(), traj)
+
+
+def test_empty_field_is_zero_stacked_and_single(np_rng):
+    # no terms: an exponent matrix of shape (0, 2N), whose plain max() raises
+    n = 3
+    v = Vars(n)
+    traj = oracle_states(np_rng, n)
+    compiled = CompiledField(VectorField(n, (v.zero,) * (n - 1), (v.zero,) * n))
+    assert compiled(traj.states, traj.times).tobytes() == np.zeros(traj.states.shape).tobytes()
+    assert compiled(traj.states[3], float(traj.times[3])).tobytes() == np.zeros(2 * n - 1).tobytes()
+
+
+def test_constant_field_is_its_coefficients(np_rng):
+    # Y_-1 shifts every b by 1 and has only exponent 0
+    n = 4
+    traj = oracle_states(np_rng, n)
+    compiled = CompiledField(build_Y(-1, n).as_field())
+    row = [0.0] * (n - 1) + [1.0] * n
+    assert compiled(traj.states, traj.times).tolist() == [row] * len(traj.times)
+    assert compiled(traj.states[0], 0.0).tolist() == row
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
