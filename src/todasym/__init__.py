@@ -21,14 +21,13 @@ from .poisson import (
 from .hierarchy import chi, chi_ladder, equivalent_mod_chi, master_field, poisson_tensor
 from .symmetry import (
     SymmetryCandidate,
-    DeterminingResidual,
     build_Y,
     candidate_scaling,
     candidate_shift,
     candidate_time_translation,
-    candidate_time_translation_evolutionary,
     determining_residuals,
     evolutionary_defect,
+    residual_slots,
     total_derivative,
     verify_theorem,
 )
@@ -67,14 +66,13 @@ __all__ = [
     "master_field",
     "poisson_tensor",
     "SymmetryCandidate",
-    "DeterminingResidual",
     "build_Y",
     "candidate_scaling",
     "candidate_shift",
     "candidate_time_translation",
-    "candidate_time_translation_evolutionary",
     "determining_residuals",
     "evolutionary_defect",
+    "residual_slots",
     "total_derivative",
     "verify_theorem",
     "DriftReport",
@@ -87,5 +85,4 @@ __all__ = [
     "VerifyConfig",
     "mutation_smoke",
     "run_verify",
-    "__version__",
 ]

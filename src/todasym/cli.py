@@ -30,7 +30,7 @@ from .dynamics import drift_report, integrate, symmetry_map_test
 from .hierarchy import master_field, poisson_tensor
 from .lattice import PhasePoint, hamiltonian
 from .ratpoly import ExponentError
-from .symmetry import SymmetryCandidate, build_Y, determining_residuals
+from .symmetry import SymmetryCandidate, build_Y, determining_residuals, residual_slots
 from .verify import ALL_SUITES, VerifyConfig, run_verify
 
 USAGE_ERROR = 2
@@ -211,7 +211,7 @@ def cmd_simulate(args) -> int:
     data = _load_json(args.init)
     try:
         z0 = PhasePoint.from_json_obj(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadInput(f"bad initial data: {exc}")
     if not all(map(math.isfinite, (args.tend, args.dt, args.tol, args.eps))):
         raise BadInput("--tend, --dt, --tol and --eps must be finite")
@@ -288,32 +288,31 @@ def cmd_symcheck(args) -> int:
     data = _load_json(args.candidate)
     try:
         cand = SymmetryCandidate.from_json_obj(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise BadInput(f"bad candidate: {exc}")
     try:
         residual = determining_residuals(cand)
     except ExponentError as exc:
         raise BadInput(f"bad candidate: {exc}")
-    ok = residual.all_zero()
+    ok = residual.is_zero()
+    slots = residual_slots(residual)
     if args.json:
         payload = {
             "ok": ok,
-            "gamma": [str(p) for p in residual.gamma],
-            "delta": [str(p) for p in residual.delta],
+            "gamma": [str(p) for p in residual.a],
+            "delta": [str(p) for p in residual.b],
         }
         print(json.dumps(payload, indent=2))
     elif args.all or not ok:
-        for j, poly in enumerate(residual.gamma, start=1):
-            print(f"gamma_{j} = {poly}")
-        for j, poly in enumerate(residual.delta, start=1):
-            print(f"delta_{j} = {poly}")
+        for label, poly in slots:
+            print(f"{label} = {poly}")
     if ok:
         if not args.json:
             print("symmetry: all determining residuals vanish")
         return 0
-    found = residual.first_nonzero()
-    if not args.json and found is not None:
-        print(f"not a symmetry: first nonzero residual {found[0]} = {found[1]}")
+    if not args.json:
+        label, poly = next(slot for slot in slots if slot[1])
+        print(f"not a symmetry: first nonzero residual {label} = {poly}")
     return CHECK_ERROR
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .ratpoly import Polynomial, UniverseError, var_names
+from .ratpoly import Polynomial, UniverseError
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,13 +83,6 @@ class VectorField:
             tuple(p.scale(c) for p in self.b),
         )
 
-    def __mul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def mul_poly(self, f: Polynomial) -> "VectorField":
         """Multiply every component by a polynomial (e.g. by t)."""
         return VectorField(
@@ -143,17 +136,3 @@ class VectorField:
             "a": [p.to_json_terms() for p in self.a],
             "b": [p.to_json_terms() for p in self.b],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "VectorField":
-        n = obj["N"]
-        a = tuple(Polynomial.from_json_terms(n, item) for item in obj["a"])
-        b = tuple(Polynomial.from_json_terms(n, item) for item in obj["b"])
-        return cls(n, a, b)
-
-    def __str__(self) -> str:
-        names = var_names(self.n)
-        lines = []
-        for idx, comp in enumerate(self.components()):
-            lines.append(f"d{names[idx]}/ds = {comp}")
-        return "\n".join(lines)

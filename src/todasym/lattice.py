@@ -71,9 +71,6 @@ class PhasePoint:
             raise ValueError(f"expected {2 * n - 1} entries, got {len(x)}")
         return cls(x[: n - 1], x[n - 1 :], time)
 
-    def to_json_obj(self) -> dict:
-        return {"a": list(self.a), "b": list(self.b), "t": self.time}
-
     @classmethod
     def from_json_obj(cls, obj) -> "PhasePoint":
         if "q" in obj or "p" in obj:

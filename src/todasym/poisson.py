@@ -63,10 +63,6 @@ class PoissonTensor:
     def __setattr__(self, name, value):
         raise AttributeError("PoissonTensor is immutable")
 
-    @classmethod
-    def zero(cls, n: int) -> "PoissonTensor":
-        return cls(n, {})
-
     def entry(self, i: int, j: int) -> Polynomial:
         """w^ij for any index pair."""
         if i > j:
@@ -103,13 +99,6 @@ class PoissonTensor:
     def scale(self, c) -> "PoissonTensor":
         return PoissonTensor(self.n, {key: p.scale(c) for key, p in self.upper.items()})
 
-    def __mul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __truediv__(self, c):
         if isinstance(c, (int, Fraction)):
             return self.scale(Fraction(1, 1) / c)
@@ -127,36 +116,16 @@ class PoissonTensor:
             "matrix": [[self.entry(i, j).to_json_terms() for j in range(dim)] for i in range(dim)],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj) -> "PoissonTensor":
-        """Read the dense form, rejecting a wrong shape or a non-antisymmetric matrix."""
-        n = obj["N"]
-        rows = [
-            [Polynomial.from_json_terms(n, item) for item in row]
-            for row in obj["matrix"]
-        ]
-        dim = 2 * n - 1
-        if len(rows) != dim or any(len(row) != dim for row in rows):
-            raise ValueError(f"tensor must be {dim}x{dim} for lattice size {n}")
-        for i in range(dim):
-            for j in range(i, dim):
-                if not (rows[i][j] + rows[j][i]).is_zero():
-                    raise ValueError(f"tensor is not antisymmetric at ({i}, {j})")
-        return cls(n, {(i, j): rows[i][j] for i, j in combinations(range(dim), 2)})
-
 
 @dataclass(frozen=True)
 class ThreeTensor:
-    """Fully antisymmetric 3-tensor: its nonzero entries on increasing triples."""
+    """Fully antisymmetric 3-tensor: its nonzero entries on increasing triples, in order."""
 
     n: int
     entries: Mapping[tuple[int, int, int], Polynomial]
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def first_nonzero(self) -> tuple[tuple[int, int, int], Polynomial] | None:
-        return min(self.entries.items(), default=None)
 
 
 # ---------------------------------------------------------------------------

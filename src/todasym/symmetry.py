@@ -24,7 +24,9 @@ For evolutionary candidates (tau = 0) the same condition reads
     dY/dt + [chi_2, Y] = 0
 
 componentwise, where chi_2 is the Toda field itself.  Both routes are
-implemented independently and agree term by term; the main family
+implemented independently and agree term by term: each gives a VectorField
+(Gamma_j as the a-block, Delta_j as the b-block), and for tau = 0
+determining_residuals(from_field(Y)) == evolutionary_defect(Y).  The main family
 
     Y_k = X_k + t * chi_{k+2},     k >= -1,
 
@@ -102,33 +104,13 @@ class SymmetryCandidate:
         return cls(n, tau, phi, psi_polys)
 
 
-@dataclass(frozen=True)
-class DeterminingResidual:
-    """Residuals of the determining equations; all zero iff a symmetry."""
-
-    gamma: tuple[Polynomial, ...]
-    delta: tuple[Polynomial, ...]
-
-    def all_zero(self) -> bool:
-        return all(p.is_zero() for p in self.gamma + self.delta)
-
-    def first_nonzero(self) -> tuple[str, Polynomial] | None:
-        for j, poly in enumerate(self.gamma, start=1):
-            if not poly.is_zero():
-                return f"gamma_{j}", poly
-        for j, poly in enumerate(self.delta, start=1):
-            if not poly.is_zero():
-                return f"delta_{j}", poly
-        return None
-
-
 def total_derivative(f: Polynomial) -> Polynomial:
     """Derivative of f(a, b, t) along solutions: d/dt with the flow substituted."""
     return f.diff("t") + toda_rhs(f.n).apply(f)
 
 
-def determining_residuals(cand: SymmetryCandidate) -> DeterminingResidual:
-    """Exact residuals of both determining-equation families."""
+def determining_residuals(cand: SymmetryCandidate) -> VectorField:
+    """Exact residuals: Gamma_1..Gamma_{N-1} as the a-block, Delta_1..Delta_N as the b-block."""
     n = cand.n
     v = Vars(n)
     tau_dot = total_derivative(cand.tau)
@@ -152,7 +134,13 @@ def determining_residuals(cand: SymmetryCandidate) -> DeterminingResidual:
         if j >= 2:
             res = res + 4 * v.a(j - 1) * cand.phi[j - 2]
         delta.append(res)
-    return DeterminingResidual(tuple(gamma), tuple(delta))
+    return VectorField(n, tuple(gamma), tuple(delta))
+
+
+def residual_slots(residual: VectorField) -> list[tuple[str, Polynomial]]:
+    """(gamma_j, Gamma_j) for j = 1..N-1, then (delta_j, Delta_j) for j = 1..N."""
+    gammas = [(f"gamma_{j}", p) for j, p in enumerate(residual.a, start=1)]
+    return gammas + [(f"delta_{j}", p) for j, p in enumerate(residual.b, start=1)]
 
 
 def evolutionary_defect(y: VectorField) -> VectorField:
@@ -176,9 +164,6 @@ def candidate_time_translation(n: int) -> SymmetryCandidate:
     v = Vars(n)
     return SymmetryCandidate(n, v.const(-1), (v.zero,) * (n - 1), (v.zero,) * n)
 
-
-def candidate_time_translation_evolutionary(n: int) -> SymmetryCandidate:
-    return SymmetryCandidate.from_field(toda_rhs(n))
 
 def candidate_scaling(n: int) -> SymmetryCandidate:
     """tau = -t, phi_j = a_j, psi_j = b_j: the grading symmetry.
@@ -232,12 +217,9 @@ def verify_theorem(k_max: int, n: int) -> list[TheoremCase]:
     cases = []
     for k in range(-1, k_max + 1):
         cand = build_Y(k, n)
-        found = determining_residuals(cand).first_nonzero()
-        if found is not None:
-            witness = f"{found[0]} = {found[1]}"
-        elif not evolutionary_defect(cand.as_field()).is_zero():
+        slots = residual_slots(determining_residuals(cand))
+        witness = next((f"{label} = {poly}" for label, poly in slots if poly), None)
+        if witness is None and not evolutionary_defect(cand.as_field()).is_zero():
             witness = "evolutionary defect nonzero"
-        else:
-            witness = None
         cases.append(TheoremCase(k, n, witness))
     return cases

@@ -111,7 +111,9 @@ def _slots(residual):
     """(label, polynomial) for the slots of a residual, in report order.
 
     A residual is a Polynomial, VectorField, PoissonTensor, ThreeTensor or
-    a symbolic matrix (rows of polynomials).
+    a symbolic matrix (rows of polynomials).  The determining residual of a
+    symmetry candidate is a VectorField too; the theorem suite names its
+    slots gamma_j and delta_j through symmetry.residual_slots.
     """
     if isinstance(residual, Polynomial):
         yield "", residual
@@ -122,9 +124,8 @@ def _slots(residual):
         for (i, j), entry in residual.upper.items():
             yield f"entry ({i},{j}): ", entry
     elif isinstance(residual, ThreeTensor):
-        found = residual.first_nonzero()
-        if found is not None:
-            yield f"slot {found[0]}: ", found[1]
+        for triple, entry in residual.entries.items():
+            yield f"slot {triple}: ", entry
     else:
         for i, row in enumerate(residual):
             for j, entry in enumerate(row):

@@ -1,15 +1,15 @@
 """Polynomial and candidate arithmetic that only the tests use.
 
 ``evaluate`` substitutes values into a polynomial, ``total_degree`` and
-``is_homogeneous`` read its grading, and ``add_candidates``,
-``scale_candidate`` and ``add_residuals`` give symmetry candidates and
-their determining residuals the linear structure the tests check.
+``is_homogeneous`` read its grading, and ``add_candidates`` and
+``scale_candidate`` give symmetry candidates the linear structure the
+tests check (their determining residuals are VectorFields, which have it).
 """
 
 from fractions import Fraction
 
 from todasym.ratpoly import Polynomial, var_names
-from todasym.symmetry import DeterminingResidual, SymmetryCandidate
+from todasym.symmetry import SymmetryCandidate
 
 
 def evaluate(poly: Polynomial, point):
@@ -68,11 +68,4 @@ def scale_candidate(cand: SymmetryCandidate, c) -> SymmetryCandidate:
         cand.tau.scale(c),
         tuple(p.scale(c) for p in cand.phi),
         tuple(p.scale(c) for p in cand.psi),
-    )
-
-
-def add_residuals(r1: DeterminingResidual, r2: DeterminingResidual) -> DeterminingResidual:
-    return DeterminingResidual(
-        tuple(p + q for p, q in zip(r1.gamma, r2.gamma)),
-        tuple(p + q for p, q in zip(r1.delta, r2.delta)),
     )

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from todasym.cli import main
-from todasym.symmetry import build_Y, candidate_scaling, candidate_shift
+from todasym.symmetry import SymmetryCandidate, build_Y, candidate_scaling, candidate_shift
 from todasym.ratpoly import EXPONENT_LIMIT, Vars
 from conftest import subprocess_env
 
@@ -243,6 +243,15 @@ def test_simulate_bad_lattice_data_exits_two(capsys, tmp_path):
     assert "bad initial data" in err
 
 
+def test_simulate_overflowing_flaschka_exits_two(capsys, tmp_path):
+    # a_1 = exp((q_1 - q_2) / 2) / 2 = exp(1000) / 2 is past the float range
+    init = write_init(tmp_path, {"q": [0, -2000], "p": [0, 0]})
+    code, out, err = run_cli(capsys, ["simulate", init])
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad initial data: math range error\n"
+
+
 def test_simulate_symmetry_map_option(capsys, tmp_path):
     init = write_init(tmp_path, {"a": [0.4, 0.3], "b": [0.1, -0.2, 0.3]})
     code, out, _ = run_cli(
@@ -432,17 +441,15 @@ def test_hierarchy_deterministic(capsys):
 
 
 def test_hierarchy_round_trips_through_schema(capsys):
-    from todasym.fields import VectorField
-    from todasym.poisson import PoissonTensor
     from todasym.hierarchy import master_field, poisson_tensor
 
     code, out, _ = run_cli(capsys, ["hierarchy", "--n", "3", "--nmax", "2"])
     assert code == 0
     payload = json.loads(out)
     for item in payload["master_fields"]:
-        assert VectorField.from_json_obj(item) == master_field(item["k"], 3)
+        assert item == {"k": item["k"], **master_field(item["k"], 3).to_json_obj()}
     for item in payload["poisson_tensors"]:
-        assert PoissonTensor.from_json_obj(item) == poisson_tensor(item["k"], 3)
+        assert item == {"k": item["k"], **poisson_tensor(item["k"], 3).to_json_obj()}
 
 
 def test_hierarchy_rejects_bad_size(capsys):
@@ -490,6 +497,77 @@ def test_symcheck_planted_failure(capsys, tmp_path):
     assert "gamma_1" in out
 
 
+SYMCHECK_PASS = """\
+symmetry: all determining residuals vanish
+"""
+SYMCHECK_PASS_ALL = """\
+gamma_1 = 0
+gamma_2 = 0
+delta_1 = 0
+delta_2 = 0
+delta_3 = 0
+symmetry: all determining residuals vanish
+"""
+SYMCHECK_PASS_JSON = json.dumps({"ok": True, "gamma": ["0"] * 2, "delta": ["0"] * 3}, indent=2)
+SYMCHECK_GAMMA = """\
+gamma_1 = a1*b1
+delta_1 = 2*a1^2
+delta_2 = 0
+not a symmetry: first nonzero residual gamma_1 = a1*b1
+"""
+SYMCHECK_GAMMA_JSON = json.dumps(
+    {"ok": False, "gamma": ["a1*b1"], "delta": ["2*a1^2", "0"]}, indent=2
+)
+SYMCHECK_DELTA = """\
+gamma_1 = 0
+gamma_2 = 0
+delta_1 = 2*a1^2
+delta_2 = 2*a1^2
+delta_3 = 2*a1^2
+not a symmetry: first nonzero residual delta_1 = 2*a1^2
+"""
+SYMCHECK_DELTA_JSON = json.dumps(
+    {"ok": False, "gamma": ["0"] * 2, "delta": ["2*a1^2"] * 3}, indent=2
+)
+
+
+def _gamma_failure():
+    # psi_1 = b1 alone: gamma_1 = a1 b1 and delta_1 = D(b1) = 2 a1^2
+    v = Vars(2)
+    return SymmetryCandidate(2, v.zero, (v.zero,), (v.b(1), v.zero))
+
+
+def _delta_failure():
+    # psi_j = b1 for every j: every gamma cancels, every delta is D(b1)
+    v = Vars(3)
+    return SymmetryCandidate(3, v.zero, (v.zero,) * 2, (v.b(1),) * 3)
+
+
+@pytest.mark.parametrize(
+    "make, flag, code, stdout",
+    [
+        (lambda: build_Y(2, 3), None, 0, SYMCHECK_PASS),
+        (lambda: build_Y(2, 3), "--all", 0, SYMCHECK_PASS_ALL),
+        (lambda: build_Y(2, 3), "--json", 0, SYMCHECK_PASS_JSON + "\n"),
+        (_gamma_failure, None, 1, SYMCHECK_GAMMA),
+        (_gamma_failure, "--all", 1, SYMCHECK_GAMMA),
+        (_gamma_failure, "--json", 1, SYMCHECK_GAMMA_JSON + "\n"),
+        (_delta_failure, None, 1, SYMCHECK_DELTA),
+        (_delta_failure, "--all", 1, SYMCHECK_DELTA),
+        (_delta_failure, "--json", 1, SYMCHECK_DELTA_JSON + "\n"),
+    ],
+    ids=[
+        "Y2-plain", "Y2-all", "Y2-json",
+        "gamma-plain", "gamma-all", "gamma-json",
+        "delta-plain", "delta-all", "delta-json",
+    ],
+)
+def test_symcheck_output_pinned(capsys, tmp_path, make, flag, code, stdout):
+    path = write_candidate(tmp_path, make())
+    argv = ["symcheck", path] + ([flag] if flag else [])
+    assert run_cli(capsys, argv) == (code, stdout, "")
+
+
 def test_symcheck_json_mode(capsys, tmp_path):
     path = write_candidate(tmp_path, candidate_shift(2))
     code, out, _ = run_cli(capsys, ["symcheck", path, "--json"])
@@ -505,6 +583,24 @@ def test_symcheck_malformed_exits_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["symcheck", str(path)])
     assert code == 2
     assert "bad candidate" in err
+
+
+@pytest.mark.parametrize(
+    "coeff, message",
+    [
+        # json reads the number 1e400 as inf, which no Fraction can hold
+        ("1e400", "cannot convert Infinity to integer ratio"),
+        ('"1/0"', "Fraction(1, 0)"),
+    ],
+    ids=["inf", "zero-denominator"],
+)
+def test_symcheck_unusable_coefficient_exits_two(capsys, tmp_path, coeff, message):
+    path = tmp_path / "cand.json"
+    path.write_text('{"N": 2, "phi": [[]], "psi": [[{"coeff": %s, "exps": {}}], []]}' % coeff)
+    code, out, err = run_cli(capsys, ["symcheck", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad candidate: {message}\n"
 
 
 def _candidate_with_psi_exponent(tmp_path, exponent):

@@ -1,6 +1,6 @@
 """Antisymmetric tensors: brackets, Lie derivative, Schouten certificate."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -18,16 +18,6 @@ from todasym.hierarchy import master_field, poisson_tensor
 from conftest import random_field, random_polynomial
 import reference_poisson as ref
 from lattice_helpers import gradient
-
-
-def test_constructor_rejects_non_antisymmetric():
-    # the dense JSON form is the only input that can break antisymmetry
-    v = Vars(2)
-    rows = [[[], v.a(1).to_json_terms(), []] for _ in range(3)]
-    with pytest.raises(ValueError, match="antisymmetric"):
-        PoissonTensor.from_json_obj({"N": 2, "matrix": rows})
-    with pytest.raises(ValueError, match="3x3"):
-        PoissonTensor.from_json_obj({"N": 2, "matrix": rows[:2]})
 
 
 def test_from_upper_entries_mirrors():
@@ -74,7 +64,7 @@ def test_bracket_field_consistency(rng):
 
 
 def test_lie_derivative_of_zero_tensor():
-    zero = PoissonTensor.zero(3)
+    zero = PoissonTensor(3, {})
     assert lie_derivative(master_field(1, 3), zero).is_zero()
 
 
@@ -145,9 +135,11 @@ def test_tensor_json_round_trip():
     import json
 
     w2 = poisson_tensor(2, 3)
-    blob = json.dumps(w2.to_json_obj())
-    again = PoissonTensor.from_json_obj(json.loads(blob))
-    assert again == w2
+    matrix = json.loads(json.dumps(w2.to_json_obj()))["matrix"]
+    dim = w2.dim()
+    assert len(matrix) == dim and all(len(row) == dim for row in matrix)
+    for i, j in product(range(dim), repeat=2):
+        assert Polynomial.from_json_terms(3, matrix[i][j]) == w2.entry(i, j)
 
 
 def random_tensor(rng, n):
@@ -173,7 +165,8 @@ def test_sparse_calculus_matches_dense_reference(rng, n):
         nonzero = {key: p for key, p in dense.items() if p}
         bracket3 = schouten_self(w)
         assert bracket3.entries == nonzero
-        assert bracket3.first_nonzero() == min(nonzero.items(), default=None)
+        # verify's witness walks the entries in this order
+        assert list(bracket3.entries) == sorted(nonzero)
         nonzero_slots += len(nonzero)
     assert nonzero_slots, "no random tensor failed Jacobi, so no slot was compared"
 
