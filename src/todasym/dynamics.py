@@ -5,10 +5,17 @@ Runge-Kutta stepper (trajectories of interest are short and smooth, and a
 fixed step keeps drift assertions deterministic), LAPACK's symmetric
 tridiagonal eigensolver for spectra, and finite differences to measure how
 well a perturbed trajectory still satisfies the equations.  The stepper
-allocates its buffers once per run (stage point, k1..k4, weighted sum) and
+allocates its buffers once per run (stage point, k1..k4, weighted sum and
+the stored rows), binds its four stage right-hand sides to them, and
 writes every velocity, stage and update into them with ``out=`` ufuncs in
-the allocating loop's order, so the states keep its bits; the Toda velocity
-is the in-place ``lattice.toda_velocity``.
+the allocating loop's order, so the states keep its bits.  The Toda
+velocity is the in-place ``lattice.toda_velocity``, which leaves the
+b-block halved; the b-block's stage and update weights are doubled
+instead, and doubling is exact.  A spectrum is one call of LAPACK
+``dstevd``, the routine scipy's ``eigh_tridiagonal`` picks for eigenvalues
+only, without that wrapper's per-call checks; scipy is imported at the
+first spectrum, so ``verify``, ``symcheck``, ``hierarchy`` and the probe
+never load it.
 
 The continuous Toda flow preserves a_i > 0 exactly; the discrete stepper
 does not, so crossing a_i <= 0 aborts with a diagnostic (the step size is
@@ -35,11 +42,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import IO
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .fields import VectorField
 from .lattice import PhasePoint, flow_residuals, toda_velocity
@@ -121,7 +127,9 @@ def integrate(
     VectorField (possibly t-dependent) is compiled first.  When t_end / dt
     is not whole within a relative 1e-9, a shortened last step ends exactly
     at z0.time + t_end.  Every store_stride-th state (store_stride >= 1) and
-    the final state are stored.
+    the final state are stored, into arrays sized before the first step.
+    Both flows run one loop, whose four stage right-hand sides are bound to
+    the run's buffers before the first step.
     """
     steps, short = _step_count(t_end, dt)
     if store_stride < 1:
@@ -132,53 +140,81 @@ def integrate(
         raise ValueError("field and initial point have different lattice sizes")
     x = z0.state()
     y, acc, *k = np.empty((6, x.size))  # stage point (later 2 k3), weighted sum, k1..k4
-    k1, k2, k3, k4 = k
     points = (x, y, y, y)
-    compiled = None if field is None else CompiledField(field)
-    pad = np.zeros(n + 1)
-    views = [(p[: n - 1], p[n - 1 :], ki[: n - 1], ki[n - 1 :], pad) for p, ki in zip(points, k)]
-
-    def rhs(i: int, t: float) -> None:
-        if compiled is None:
-            toda_velocity(*views[i])
-        else:
-            compiled(points[i], t, out=k[i])
-
+    scale = np.ones(x.size)  # per component: the stage and update weights in units of h
+    if field is None:
+        rhs1, rhs2, rhs3, rhs4 = _toda_stages(n, points, k)
+        scale[n - 1 :] = 2.0  # the Toda stages leave the b-block of k halved
+    else:
+        compiled = CompiledField(field)
+        rhs1, rhs2, rhs3, rhs4 = (partial(compiled, p, out=ki) for p, ki in zip(points, k))
+    k1, k2, k3, k4 = k
+    rows = 1 + steps // store_stride + (steps % store_stride > 0)
+    times, states = np.empty(rows), np.empty((rows, x.size))
+    times[0], states[0] = z0.time, x
+    row = 1
     a = x[: n - 1]
+    zero = np.zeros(x.size)  # x . 0 is nan exactly when an entry of x is inf or nan
+    least = np.minimum.reduce  # a.min() without its Python-level wrapper
     t = z0.time
-    times = [t]
-    states = [x.copy()]
+    h = dt
+    half, whole, sixth = (scale * c for c in (0.5 * h, h, h / 6.0))
     for step in range(1, steps + 1):
         last = short and step == steps
-        h = t_end - (step - 1) * dt if last else dt
-        rhs(0, t)
-        for i, c in enumerate((0.5 * h, 0.5 * h, h), 1):
-            np.add(x, np.multiply(k[i - 1], c, out=y), out=y)
-            rhs(i, t + c)
+        if last:
+            h = t_end - (step - 1) * dt
+            half, whole, sixth = (scale * c for c in (0.5 * h, h, h / 6.0))
+        t_half = t + 0.5 * h
+        rhs1(t)
+        np.add(x, np.multiply(k1, half, out=y), out=y)
+        rhs2(t_half)
+        np.add(x, np.multiply(k2, half, out=y), out=y)
+        rhs3(t_half)
+        np.add(x, np.multiply(k3, whole, out=y), out=y)
+        rhs4(t + h)
         np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
         np.add(acc, np.multiply(k3, 2.0, out=y), out=acc)
         np.add(acc, k4, out=acc)
-        np.add(x, np.multiply(acc, h / 6.0, out=acc), out=x)
+        np.add(x, np.multiply(acc, sixth, out=acc), out=x)
         t = z0.time + (t_end if last else step * dt)
-        if not np.isfinite(x).all():
+        if not math.isfinite(x.dot(zero)):
             raise RuntimeError(
                 f"non-finite state at t={t:.6g} (step {step}); "
                 "reduce dt or check the field"
             )
-        if positive_a and a.min() <= 0.0:
+        if positive_a and least(a) <= 0.0:
             raise RuntimeError(
                 f"off-diagonal entry crossed zero at t={t:.6g} (step {step}); "
                 "dt is too large for this trajectory"
             )
         if step % store_stride == 0 or step == steps:
-            times.append(t)
-            states.append(x.copy())
-    return Trajectory(n, np.array(times), np.array(states))
+            times[row], states[row] = t, x
+            row += 1
+    return Trajectory(n, times, states)
 
 
-# integrate steps at roughly 2.5e4 steps/s on one core of a shared 2-core
-# host (N = 4..128) and keeps every stored state in a list, so 1e7 steps is
-# minutes of work and over a GB of states at store_stride 1.  A larger count
+def _toda_stages(n: int, points: tuple, k: list[np.ndarray]) -> list:
+    """The four Toda stage right-hand sides: toda_velocity on fixed views.
+
+    Stage i reads points[i] and writes k[i] with its b-block halved.  The
+    kernel is read from this module's namespace once per run, so a wrapped
+    or patched toda_velocity is the one called, four times per step.
+    """
+    kernel = toda_velocity
+    pad = np.zeros(n + 1)
+    squares = (pad[1:-1], pad[1:], pad[:-1])
+    stages = []
+    for p, ki in zip(points, k):
+        b = p[n - 1 :]
+        args = (p[: n - 1], b[1:], b[:-1], ki[: n - 1], ki[n - 1 :], *squares)
+        stages.append(lambda t, args=args: kernel(*args))
+    return stages
+
+
+# integrate steps at roughly 4e4-6e4 steps/s on one core of a shared 2-core
+# host (N = 4..128), so 1e7 steps is minutes of work.  The stored rows are
+# one array sized before the first step: at store_stride 1 that is
+# 8 (2N - 1) bytes per step, 20 GB for 1e7 steps at N = 128.  A larger count
 # is refused before any step runs; the longest run any caller, test or demo
 # needs is 40,000 steps.
 MAX_STEPS = 10**7
@@ -204,11 +240,34 @@ def _step_count(t_end: float, dt: float) -> tuple[int, bool]:
 
 def spectrum(point: PhasePoint) -> np.ndarray:
     """Eigenvalues of the Jacobi matrix, ascending."""
-    return eigh_tridiagonal(
-        np.asarray(point.b, dtype=float),
-        np.asarray(point.a, dtype=float),
-        eigvals_only=True,
-    )
+    return _spectra(point.n, point.state()[np.newaxis])[0]
+
+
+def _spectra(n: int, states: np.ndarray) -> np.ndarray:
+    """Ascending Jacobi eigenvalues of each state row, one row each.
+
+    The b-block is the diagonal and the a-block the off-diagonal.  Each row
+    is one call of LAPACK dstevd, the routine eigh_tridiagonal(d, e,
+    eigvals_only=True) selects, so the eigenvalues keep its bits; its
+    finiteness check runs once here, over all rows, with its message.
+    """
+    if not np.isfinite(states).all():
+        raise ValueError("array must not contain infs or NaNs")
+    stevd = _dstevd()
+    spectra = np.empty((len(states), n))
+    for row, x in zip(spectra, states):
+        row[:], _, info = stevd(x[n - 1 :], x[: n - 1], compute_v=0)
+        if info:
+            raise np.linalg.LinAlgError(f"LAPACK dstevd failed with info={info}")
+    return spectra
+
+
+@lru_cache(maxsize=None)
+def _dstevd():
+    """LAPACK dstevd; scipy is imported here, on the first spectrum."""
+    from scipy.linalg.lapack import dstevd
+
+    return dstevd
 
 
 @dataclass(frozen=True)
@@ -234,10 +293,7 @@ def drift_report(traj: Trajectory, m_max: int, stride: int = 1) -> DriftReport:
         raise ValueError("m_max must be >= 1")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    n = traj.n
-    spectra = np.array(
-        [eigh_tridiagonal(x[n - 1 :], x[: n - 1], eigvals_only=True) for x in traj.states[::stride]]
-    )
+    spectra = _spectra(traj.n, traj.states[::stride])
     eig_drift = float(np.max(np.abs(spectra - spectra[0])))
     h_drift = {}
     for m in range(1, m_max + 1):

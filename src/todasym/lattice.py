@@ -171,12 +171,17 @@ def toda_rhs(n: int) -> VectorField:
     return VectorField(n, a_comps, b_comps)
 
 
-def toda_velocity(a, b, da, db, pad) -> None:
-    """Toda right-hand side of a (N-1,), b (N,) into da, db; pad (N+1,) has zero ends."""
-    np.multiply(a, np.subtract(b[1:], b[:-1], out=da), out=da)
-    sq = np.multiply(a, a, out=pad[1:-1])
-    np.multiply(sq, 2.0, out=sq)  # pad now holds 2 a_i^2 with a_0 = a_N = 0
-    np.subtract(pad[1:], pad[:-1], out=db)
+def toda_velocity(a, b_next, b_prev, da, half_db, sq, sq_next, sq_prev) -> None:
+    """Toda right-hand side, its b-block halved, from views built once per run.
+
+    a (N-1,) with b_next = b[1:] and b_prev = b[:-1]; da (N-1,) receives
+    a_i (b_{i+1} - b_i) and half_db (N,) receives a_i^2 - a_{i-1}^2, which is
+    db_i/dt / 2 exactly (the caller doubles it).  sq, sq_next and sq_prev are
+    pad[1:-1], pad[1:] and pad[:-1] of one (N+1,) buffer whose ends stay 0.
+    """
+    np.multiply(a, np.subtract(b_next, b_prev, out=da), out=da)
+    np.multiply(a, a, out=sq)
+    np.subtract(sq_next, sq_prev, out=half_db)
 
 
 def flow_residuals(a, b, adot, bdot) -> tuple[list, list]:

@@ -400,7 +400,12 @@ class Polynomial:
         terms: dict[Monomial, Fraction] = {}
         for item in data:
             mono = [0] * width
-            for name, e in item["exps"].items():
+            exps, coeff = item["exps"], item["coeff"]
+            if not isinstance(exps, Mapping):
+                raise ValueError(f"term exponents must be an object, got {exps!r}")
+            if isinstance(coeff, bool):
+                raise ValueError(f"term coefficient must be a number or a string, got {coeff!r}")
+            for name, e in exps.items():
                 if name not in index:
                     raise ValueError(f"unknown variable {name!r} for lattice size {n}")
                 if not isinstance(e, int) or e <= 0:
@@ -409,7 +414,7 @@ class Polynomial:
             key = tuple(mono)
             if key in terms:
                 raise ValueError(f"duplicate monomial in serialized polynomial: {key}")
-            terms[key] = Fraction(item["coeff"])
+            terms[key] = Fraction(coeff)
         return cls(n, terms)
 
     def __str__(self) -> str:

@@ -5,18 +5,21 @@ per component, special-cases empty components and evaluates the components
 one at a time; ``MatrixField`` evaluates one point at a time with one
 exponent matrix and one weight matrix, a row-wise power product and one
 matrix product; ``grid_residuals`` calls ``flow_residuals`` once per interior
-sample; ``drift_report`` builds a ``PhasePoint`` per sample and takes its
-spectrum with ``dynamics.spectrum``; ``symmetry_map_test`` integrates its
-base trajectory afresh on every call, with no memo, and evaluates the shifts
-one sample at a time; ``integrate`` is the allocating RK4 loop, with a fresh
-array for every velocity and stage sum.  They are the original
-implementations, kept as the slow, independent oracle that
+sample; ``spectrum`` and ``row_drift_report`` call scipy's
+``eigh_tridiagonal`` once per point or sampled row, with its own argument
+checks; ``drift_report`` builds a ``PhasePoint`` per sample and takes its
+spectrum with ``spectrum``; ``symmetry_map_test`` integrates its base
+trajectory afresh on every call, with no memo, and evaluates the shifts one
+sample at a time; ``integrate`` is the allocating RK4 loop, with a fresh
+array for every velocity and stage sum and the full b-block velocity.  They
+are the original implementations, kept as the slow, independent oracle that
 ``test_dynamics.py`` compares the stacked field, the one-call residuals, the
-row-wise spectra, the memoised probe and the preallocated stepper against.
-Nothing in ``src/`` imports this module.
+direct LAPACK spectra, the memoised probe and the preallocated stepper
+against.  Nothing in ``src/`` imports this module.
 """
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from todasym import dynamics
 from todasym.fields import VectorField
@@ -193,12 +196,39 @@ def symmetry_map_test(
     )
 
 
+def spectrum(point: PhasePoint) -> np.ndarray:
+    """Eigenvalues of the Jacobi matrix, ascending."""
+    return eigh_tridiagonal(
+        np.asarray(point.b, dtype=float),
+        np.asarray(point.a, dtype=float),
+        eigvals_only=True,
+    )
+
+
+def row_drift_report(traj: dynamics.Trajectory, m_max: int, stride: int = 1) -> dynamics.DriftReport:
+    """Compare eigenvalues and H_1..H_{m_max} of each sample to the first."""
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    n = traj.n
+    spectra = np.array(
+        [eigh_tridiagonal(x[n - 1 :], x[: n - 1], eigvals_only=True) for x in traj.states[::stride]]
+    )
+    eig_drift = float(np.max(np.abs(spectra - spectra[0])))
+    h_drift = {}
+    for m in range(1, m_max + 1):
+        values = np.sum(spectra**m, axis=1) / m
+        h_drift[m] = float(np.max(np.abs(values - values[0])))
+    return dynamics.DriftReport(eig_drift, h_drift)
+
+
 def drift_report(traj: dynamics.Trajectory, m_max: int, stride: int = 1) -> dynamics.DriftReport:
     """Compare eigenvalues and H_1..H_{m_max} of each sample to the first."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     rows = range(0, len(traj.times), stride)
-    spectra = np.array([dynamics.spectrum(traj.point(i)) for i in rows])
+    spectra = np.array([spectrum(traj.point(i)) for i in rows])
     eig_drift = float(np.max(np.abs(spectra - spectra[0])))
     h_drift = {}
     for m in range(1, m_max + 1):

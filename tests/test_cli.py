@@ -603,6 +603,23 @@ def test_symcheck_unusable_coefficient_exits_two(capsys, tmp_path, coeff, messag
     assert err == f"error: bad candidate: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        ('{"coeff": "1", "exps": []}', "term exponents must be an object, got []"),
+        ('{"coeff": true, "exps": {}}', "term coefficient must be a number or a string, got True"),
+    ],
+    ids=["list-exps", "bool-coeff"],
+)
+def test_symcheck_malformed_term_exits_two(capsys, tmp_path, term, message):
+    path = tmp_path / "cand.json"
+    path.write_text('{"N": 2, "phi": [[]], "psi": [[%s], []]}' % term)
+    code, out, err = run_cli(capsys, ["symcheck", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad candidate: {message}\n"
+
+
 def _candidate_with_psi_exponent(tmp_path, exponent):
     payload = candidate_shift(2).to_json_obj()
     payload["psi"][0] = [{"coeff": "1", "exps": {"b1": exponent}}]

@@ -203,12 +203,13 @@ def assert_same_bits(fast: Trajectory, slow: Trajectory):
 
 @pytest.mark.parametrize("n", [2, 3, 8, 33])
 def test_toda_kernel_matches_allocating_reference(np_rng, n):
+    # the kernel leaves the b-block halved: doubled, it is the reference's db
     a = np_rng.uniform(-1.0, 1.0, size=n - 1)
     b = np_rng.uniform(-1.0, 1.0, size=n)
-    da, db, pad = np.full(n - 1, np.nan), np.full(n, np.nan), np.zeros(n + 1)
-    toda_velocity(a, b, da, db, pad)
+    da, half_db, pad = np.full(n - 1, np.nan), np.full(n, np.nan), np.zeros(n + 1)
+    toda_velocity(a, b[1:], b[:-1], da, half_db, pad[1:-1], pad[1:], pad[:-1])
     ref_da, ref_db = ref.toda_velocity(a, b)
-    assert da.tobytes() == ref_da.tobytes() and db.tobytes() == ref_db.tobytes()
+    assert da.tobytes() == ref_da.tobytes() and (2 * half_db).tobytes() == ref_db.tobytes()
     assert pad[0] == pad[-1] == 0.0
 
 
@@ -250,12 +251,20 @@ def blow_up_field():
 ABORTS = [
     (PhasePoint((1.6, 1.9), (1.9, -1.7, -0.4)), 20.0, 0.55, None, "crossed zero"),
     (PhasePoint((1.0,), (1.0, 0.0)), 20.0, 0.5, blow_up_field(), "non-finite"),
+    # a_1^2 is finite but 2 a_1^2 overflows: the halved kernel never forms
+    # 2 a_1^2, and the run must still abort where the full velocity does
+    (PhasePoint((9.6e153,), (0.0, 0.0)), 1.0, 1e-3, None, "non-finite"),
+    (PhasePoint((1.2e154, 0.5), (0.1, -0.2, 0.0)), 1.0, 1e-3, None, "non-finite"),
 ]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("z0, t_end, dt, field, message", ABORTS, ids=["crossing", "non-finite"])
+@pytest.mark.parametrize(
+    "z0, t_end, dt, field, message",
+    ABORTS,
+    ids=["crossing", "non-finite", "overflow-9.6e153", "overflow-1.2e154"],
+)
 def test_integrate_aborts_like_allocating_reference(z0, t_end, dt, field, message):
     raised = []
     for run in (integrate, ref.integrate):
@@ -334,6 +343,49 @@ def test_drift_report_matches_point_spectra(np_rng, n, stride):
     traj = integrate(random_point(np_rng, n), 0.5, 1e-2)
     m_max = min(n, 8)
     assert drift_report(traj, m_max, stride) == ref.drift_report(traj, m_max, stride)
+
+
+def report_bits(report: DriftReport):
+    return report.eigenvalue_drift.hex(), {m: v.hex() for m, v in report.h_drift.items()}
+
+
+@pytest.mark.parametrize("stride", [1, 10])
+@pytest.mark.parametrize("n", [2, 3, 8, 33, 128])
+def test_spectra_match_eigh_tridiagonal(np_rng, n, stride):
+    # the direct dstevd calls give eigh_tridiagonal's bytes, per point and per row
+    traj = integrate(random_point(np_rng, n), 0.5, 1e-2)
+    m_max = min(n, 8)
+    fast = drift_report(traj, m_max, stride)
+    assert report_bits(fast) == report_bits(ref.row_drift_report(traj, m_max, stride))
+    rows = dynamics._spectra(n, traj.states[::stride])
+    for i, row in zip(range(0, len(traj.times), stride), rows):
+        expected = ref.spectrum(traj.point(i)).tobytes()
+        assert spectrum(traj.point(i)).tobytes() == expected and row.tobytes() == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_sample_raises_like_eigh_tridiagonal(bad):
+    traj = integrate(PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0)), 0.1, 0.01)
+    states = traj.states.copy()
+    states[4, 1] = bad
+    broken = Trajectory(traj.n, traj.times, states)
+    raised = []
+    for report in (drift_report, ref.row_drift_report):
+        with pytest.raises(ValueError) as info:
+            report(broken, 2, stride=2)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+    # only the sampled rows are checked: row 4 is skipped at stride 3
+    assert drift_report(broken, 2, stride=3) == ref.row_drift_report(broken, 2, stride=3)
+
+
+def test_lapack_failure_raises(monkeypatch):
+    def failing(d, e, compute_v):
+        return np.zeros_like(d), np.zeros((1, 1)), 2
+
+    monkeypatch.setattr(dynamics, "_dstevd", lambda: failing)
+    with pytest.raises(np.linalg.LinAlgError, match="info=2"):
+        spectrum(PhasePoint((0.5,), (0.0, 0.0)))
 
 
 def test_drift_report_rejects_stride_below_one():
