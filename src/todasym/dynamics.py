@@ -1,4 +1,4 @@
-"""Numerical side: integrate flows, certify spectra, probe symmetries.
+"""Numerical side: integrate the Toda flow, certify spectra, probe symmetries.
 
 Everything here is deliberately plain: a fixed-step classical fourth-order
 Runge-Kutta stepper (trajectories of interest are short and smooth, and a
@@ -19,12 +19,14 @@ never load it.
 
 The continuous Toda flow preserves a_i > 0 exactly; the discrete stepper
 does not, so crossing a_i <= 0 aborts with a diagnostic (the step size is
-too coarse for the data).  A polynomial field is compiled once to per-variable
-exponent columns over (a, b, t) and a weight matrix holding each term's
-coefficient in its component's column; a stack of points is evaluated with a
-power table, a left fold of in-place products over the variables and a
-row-wise product with the weights.  The finite-difference residuals of a
-sampled curve are one ``flow_residuals`` call on the transposed sample arrays.
+too coarse for the data).  The probe evaluates a candidate's polynomial
+field on all samples of the base trajectory in one stacked call: the field
+is compiled once to per-variable exponent columns over (a, b, t) and a
+weight matrix holding each term's coefficient in its component's column,
+and the stack is evaluated with a power table, a left fold of in-place
+products over the variables and a row-wise product with the weights.  The
+finite-difference residuals of a sampled curve are one ``flow_residuals``
+call on the transposed sample arrays.
 
 The symmetry map probe tests many candidates and eps values on one base
 trajectory, so its base run (the strided Toda trajectory and its baseline
@@ -76,14 +78,13 @@ class CompiledField:
         self._weights = np.zeros((rows.size, 2 * field.n - 1))
         self._weights[rows, [i for i, _, _ in terms]] = [c for _, _, c in terms]
 
-    def __call__(self, x: np.ndarray, t, out: np.ndarray | None = None) -> np.ndarray:
+    def __call__(self, x: np.ndarray, t) -> np.ndarray:
         table = np.concatenate((x, np.expand_dims(t, -1)), axis=-1)[..., None] ** self._powers
         (v, col), *rest = self._fold
         monos = np.ascontiguousarray(table[..., v, col])  # strided rows would sum differently
         for v, col in rest:
             monos *= table[..., v, col]
-        target = None if out is None else out[..., None, :]
-        return np.matmul(monos[..., None, :], self._weights, out=target)[..., 0, :]
+        return np.matmul(monos[..., None, :], self._weights)[..., 0, :]
 
 
 @dataclass(frozen=True)
@@ -113,41 +114,27 @@ class Trajectory:
             writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
 
 
-def integrate(
-    z0: PhasePoint,
-    t_end: float,
-    dt: float,
-    field: VectorField | None = None,
-    store_stride: int = 1,
-) -> Trajectory:
-    """Integrate from z0 with fixed-step classical fourth-order Runge-Kutta.
+def integrate(z0: PhasePoint, t_end: float, dt: float, *, store_stride: int = 1) -> Trajectory:
+    """Integrate the Toda flow from z0 with fixed-step classical fourth-order Runge-Kutta.
 
-    field=None integrates the Toda flow itself and aborts when couplings
-    that all started positive lose positivity (dt is too coarse); a
-    VectorField (possibly t-dependent) is compiled first.  When t_end / dt
+    The run aborts on a non-finite state, and when couplings that all
+    started positive lose positivity (dt is too coarse).  When t_end / dt
     is not whole within a relative 1e-9, a shortened last step ends exactly
     at z0.time + t_end.  Every store_stride-th state (store_stride >= 1) and
     the final state are stored, into arrays sized before the first step.
-    Both flows run one loop, whose four stage right-hand sides are bound to
-    the run's buffers before the first step.
+    The four stage right-hand sides are bound to the run's buffers before
+    the first step.
     """
     steps, short = _step_count(t_end, dt)
     if store_stride < 1:
         raise ValueError(f"store_stride must be >= 1, got {store_stride}")
     n = z0.n
-    positive_a = field is None and n > 1 and all(ai > 0 for ai in z0.a)
-    if field is not None and field.n != n:
-        raise ValueError("field and initial point have different lattice sizes")
+    positive_a = all(ai > 0 for ai in z0.a)
     x = z0.state()
     y, acc, *k = np.empty((6, x.size))  # stage point (later 2 k3), weighted sum, k1..k4
-    points = (x, y, y, y)
+    rhs1, rhs2, rhs3, rhs4 = _toda_stages(n, (x, y, y, y), k)
     scale = np.ones(x.size)  # per component: the stage and update weights in units of h
-    if field is None:
-        rhs1, rhs2, rhs3, rhs4 = _toda_stages(n, points, k)
-        scale[n - 1 :] = 2.0  # the Toda stages leave the b-block of k halved
-    else:
-        compiled = CompiledField(field)
-        rhs1, rhs2, rhs3, rhs4 = (partial(compiled, p, out=ki) for p, ki in zip(points, k))
+    scale[n - 1 :] = 2.0  # the Toda stages leave the b-block of k halved
     k1, k2, k3, k4 = k
     rows = 1 + steps // store_stride + (steps % store_stride > 0)
     times, states = np.empty(rows), np.empty((rows, x.size))
@@ -156,7 +143,6 @@ def integrate(
     a = x[: n - 1]
     zero = np.zeros(x.size)  # x . 0 is nan exactly when an entry of x is inf or nan
     least = np.minimum.reduce  # a.min() without its Python-level wrapper
-    t = z0.time
     h = dt
     half, whole, sixth = (scale * c for c in (0.5 * h, h, h / 6.0))
     for step in range(1, steps + 1):
@@ -164,14 +150,13 @@ def integrate(
         if last:
             h = t_end - (step - 1) * dt
             half, whole, sixth = (scale * c for c in (0.5 * h, h, h / 6.0))
-        t_half = t + 0.5 * h
-        rhs1(t)
+        rhs1()
         np.add(x, np.multiply(k1, half, out=y), out=y)
-        rhs2(t_half)
+        rhs2()
         np.add(x, np.multiply(k2, half, out=y), out=y)
-        rhs3(t_half)
+        rhs3()
         np.add(x, np.multiply(k3, whole, out=y), out=y)
-        rhs4(t + h)
+        rhs4()
         np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
         np.add(acc, np.multiply(k3, 2.0, out=y), out=acc)
         np.add(acc, k4, out=acc)
@@ -207,16 +192,16 @@ def _toda_stages(n: int, points: tuple, k: list[np.ndarray]) -> list:
     for p, ki in zip(points, k):
         b = p[n - 1 :]
         args = (p[: n - 1], b[1:], b[:-1], ki[: n - 1], ki[n - 1 :], *squares)
-        stages.append(lambda t, args=args: kernel(*args))
+        stages.append(partial(kernel, *args))
     return stages
 
 
-# integrate steps at roughly 4e4-6e4 steps/s on one core of a shared 2-core
-# host (N = 4..128), so 1e7 steps is minutes of work.  The stored rows are
-# one array sized before the first step: at store_stride 1 that is
-# 8 (2N - 1) bytes per step, 20 GB for 1e7 steps at N = 128.  A larger count
-# is refused before any step runs; the longest run any caller, test or demo
-# needs is 40,000 steps.
+# integrate takes 18-36 us per step (about 3e4-5e4 steps/s) on one core of a
+# shared 2-core host (N = 4..128), so 1e7 steps is minutes of work.  The
+# stored rows are one array sized before the first step: at store_stride 1
+# that is 8 (2N - 1) bytes per step, 20 GB for 1e7 steps at N = 128.  A
+# larger count is refused before any step runs; the longest run any caller,
+# test or demo needs is 40,000 steps.
 MAX_STEPS = 10**7
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from operator import or_
 from struct import Struct
 from struct import error as StructError
@@ -414,6 +414,8 @@ class Polynomial:
             key = tuple(mono)
             if key in terms:
                 raise ValueError(f"duplicate monomial in serialized polynomial: {key}")
+            if isinstance(coeff, float) and isfinite(coeff):
+                coeff = repr(coeff)  # the decimal the number prints as, not its binary value
             terms[key] = Fraction(coeff)
         return cls(n, terms)
 

@@ -10,12 +10,12 @@ sample; ``spectrum`` and ``row_drift_report`` call scipy's
 checks; ``drift_report`` builds a ``PhasePoint`` per sample and takes its
 spectrum with ``spectrum``; ``symmetry_map_test`` integrates its base
 trajectory afresh on every call, with no memo, and evaluates the shifts one
-sample at a time; ``integrate`` is the allocating RK4 loop, with a fresh
-array for every velocity and stage sum and the full b-block velocity.  They
-are the original implementations, kept as the slow, independent oracle that
-``test_dynamics.py`` compares the stacked field, the one-call residuals, the
-direct LAPACK spectra, the memoised probe and the preallocated stepper
-against.  Nothing in ``src/`` imports this module.
+sample at a time; ``integrate`` is the allocating RK4 loop of the Toda flow,
+with a fresh array for every velocity and stage sum and the full b-block
+velocity.  They are the original implementations, kept as the slow,
+independent oracle that ``test_dynamics.py`` compares the stacked field, the
+one-call residuals, the direct LAPACK spectra, the memoised probe and the
+preallocated Toda stepper against.  Nothing in ``src/`` imports this module.
 """
 
 import numpy as np
@@ -75,8 +75,8 @@ class MatrixField:
         self._weights = np.zeros((rows.size, 2 * field.n - 1))
         self._weights[rows, [i for i, _, _ in terms]] = [c for _, _, c in terms]
 
-    def __call__(self, x: np.ndarray, t: float, out: np.ndarray | None = None) -> np.ndarray:
-        return np.matmul(np.prod(np.append(x, t) ** self._exps, axis=1), self._weights, out=out)
+    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
+        return np.prod(np.append(x, t) ** self._exps, axis=1) @ self._weights
 
 
 def toda_velocity(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,45 +89,36 @@ def toda_velocity(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return da, db
 
 
-def _toda_func(x: np.ndarray, t: float) -> np.ndarray:
+def _toda_func(x: np.ndarray) -> np.ndarray:
     n = (len(x) + 1) // 2
     da, db = toda_velocity(x[: n - 1], x[n - 1 :])
     return np.concatenate([da, db])
 
 
 def integrate(
-    z0: PhasePoint,
-    t_end: float,
-    dt: float,
-    field: VectorField | None = None,
-    store_stride: int = 1,
+    z0: PhasePoint, t_end: float, dt: float, store_stride: int = 1
 ) -> dynamics.Trajectory:
-    """Integrate from z0 with fixed-step classical fourth-order Runge-Kutta.
+    """Integrate the Toda flow from z0 with fixed-step classical fourth-order Runge-Kutta.
 
-    The allocating original.  A field is evaluated one point at a time by
-    ``MatrixField``, so its states must equal ``dynamics.integrate``'s bit for
-    bit.
+    The allocating original: its states must equal ``dynamics.integrate``'s
+    bit for bit.
     """
     steps, short = dynamics._step_count(t_end, dt)
     if store_stride < 1:
         raise ValueError(f"store_stride must be >= 1, got {store_stride}")
     n = z0.n
-    positive_a = field is None and n > 1 and all(ai > 0 for ai in z0.a)
-    if field is not None and field.n != n:
-        raise ValueError("field and initial point have different lattice sizes")
-    func = _toda_func if field is None else MatrixField(field)
+    positive_a = all(ai > 0 for ai in z0.a)
 
     x = z0.state()
-    t = z0.time
-    times = [t]
+    times = [z0.time]
     states = [x.copy()]
     for step in range(1, steps + 1):
         last = short and step == steps
         h = t_end - (step - 1) * dt if last else dt
-        k1 = func(x, t)
-        k2 = func(x + 0.5 * h * k1, t + 0.5 * h)
-        k3 = func(x + 0.5 * h * k2, t + 0.5 * h)
-        k4 = func(x + h * k3, t + h)
+        k1 = _toda_func(x)
+        k2 = _toda_func(x + 0.5 * h * k1)
+        k3 = _toda_func(x + 0.5 * h * k2)
+        k4 = _toda_func(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = z0.time + (t_end if last else step * dt)
         if not np.all(np.isfinite(x)):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -483,6 +484,21 @@ def test_symcheck_y2_passes(capsys, tmp_path):
     path = write_candidate(tmp_path, build_Y(2, 2))
     code, _, _ = run_cli(capsys, ["symcheck", path])
     assert code == 0
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_symcheck_reads_decimal_coefficients_exactly(capsys, tmp_path, k):
+    # 1/10 Y_k with every coefficient a JSON decimal such as 0.3: read by its
+    # binary value, 0.3 is not 3/10 and the residuals no longer cancel
+    payload = build_Y(k, 3).to_json_obj()
+    for poly in [payload["tau"], *payload["phi"], *payload["psi"]]:
+        for term in poly:
+            exact = Fraction(term["coeff"]) / 10
+            term["coeff"] = float(exact)
+            assert Fraction(repr(term["coeff"])) == exact
+    path = tmp_path / "cand.json"
+    path.write_text(json.dumps(payload))
+    assert run_cli(capsys, ["symcheck", str(path)]) == (0, SYMCHECK_PASS, "")
 
 
 def test_symcheck_planted_failure(capsys, tmp_path):

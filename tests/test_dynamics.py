@@ -121,25 +121,21 @@ def test_positive_a_abort_on_coarse_step():
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_nonfinite_abort():
-    # integrate db/ds = b^2 from b = 1: blows up in finite time
-    v = Vars(2)
-    from todasym.fields import VectorField
-
-    field = VectorField(2, (v.zero,), (v.b(1) ** 2, v.zero))
-    z0 = PhasePoint((1.0,), (1.0, 0.0))
-    with pytest.raises(RuntimeError, match="non-finite"):
-        integrate(z0, 20.0, 0.5, field=field)
+    # a_1 = -1 is not tracked for positivity, and dt = 1 is past RK4's
+    # stability limit: the state overflows after a few steps
+    z0 = PhasePoint((-1.0,), (0.0, 0.0))
+    with pytest.raises(RuntimeError, match=r"non-finite state at t=6 \(step 6\)"):
+        integrate(z0, 20.0, 1.0)
 
 
-def test_time_dependent_field_integration():
-    # dx/ds = t along the t-axis only: db_1/ds = s so b_1(t) = t^2/2
-    v = Vars(2)
-    from todasym.fields import VectorField
-
-    field = VectorField(2, (v.zero,), (v.t, v.zero))
-    z0 = PhasePoint((1.0,), (0.0, 0.0))
-    traj = integrate(z0, 2.0, 0.01, field=field)
-    assert traj.states[-1][1] == pytest.approx(2.0, rel=1e-12)
+def test_integrate_takes_no_field_and_a_keyword_stride():
+    # perfbench's span hook binds integrate's arguments by position, with a
+    # stale field slot fourth: a positional stride must not land in it
+    z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0))
+    with pytest.raises(TypeError):
+        integrate(z0, 1.0, 0.1, 3)
+    with pytest.raises(TypeError):
+        integrate(z0, 1.0, 0.1, field=toda_rhs(3))
 
 
 def test_compiled_field_matches_exact_evaluation(np_rng):
@@ -183,13 +179,13 @@ def test_partial_last_step_ends_at_t_end():
 
 
 def test_partial_last_step_from_nonzero_start_time():
-    v = Vars(2)
-    field = VectorField(2, (v.zero,), (v.t, v.zero))
-    z0 = PhasePoint((1.0,), (0.0, 0.0), 0.5)
-    traj = integrate(z0, 0.25, 0.1, field=field)
-    assert traj.times[-1] == 0.75
-    # db_1/ds = s from s = 0.5 to 0.75; RK4 is exact on this quadratic
-    assert traj.states[-1][1] == pytest.approx((0.75**2 - 0.5**2) / 2, rel=1e-12)
+    # two steps of 0.1 and one of 0.05 from t = 0.5; the Toda flow is
+    # autonomous, so the states are those of the same run from t = 0
+    z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0), 0.5)
+    traj = integrate(z0, 0.25, 0.1)
+    assert traj.times.tolist() == [0.5, 0.6, 0.7, 0.75]
+    from_zero = integrate(PhasePoint(z0.a, z0.b), 0.25, 0.1)
+    assert traj.states.tobytes() == from_zero.states.tobytes()
 
 
 # -- the preallocated stepper against the allocating reference loop ------------------
@@ -232,44 +228,29 @@ def test_integrate_matches_reference_short_step_and_start_time(np_rng, stride):
     assert_same_bits(fast, ref.integrate(z0, 1.0, 0.03, store_stride=stride))
 
 
-@pytest.mark.parametrize("stride", [1, 7])
-def test_integrate_matches_reference_on_time_dependent_field(np_rng, stride):
-    # Y_1 = X_1 + t chi_3 depends on t; the run starts at t = 0.25 and ends short
-    field = build_Y(1, 3).as_field()
-    point = random_point(np_rng, 3)
-    z0 = PhasePoint(point.a, point.b, 0.25)
-    fast = integrate(z0, 0.5, 0.015, field=field, store_stride=stride)
-    assert_same_bits(fast, ref.integrate(z0, 0.5, 0.015, field=field, store_stride=stride))
-
-
-def blow_up_field():
-    # db_1/ds = b_1^2 from b_1 = 1: non-finite in finite time
-    v = Vars(2)
-    return VectorField(2, (v.zero,), (v.b(1) ** 2, v.zero))
-
-
 ABORTS = [
-    (PhasePoint((1.6, 1.9), (1.9, -1.7, -0.4)), 20.0, 0.55, None, "crossed zero"),
-    (PhasePoint((1.0,), (1.0, 0.0)), 20.0, 0.5, blow_up_field(), "non-finite"),
+    (PhasePoint((1.6, 1.9), (1.9, -1.7, -0.4)), 20.0, 0.55, "crossed zero"),
+    # the coarse, unstable run of test_nonfinite_abort: it overflows at step 6
+    (PhasePoint((-1.0,), (0.0, 0.0)), 20.0, 1.0, "non-finite"),
     # a_1^2 is finite but 2 a_1^2 overflows: the halved kernel never forms
     # 2 a_1^2, and the run must still abort where the full velocity does
-    (PhasePoint((9.6e153,), (0.0, 0.0)), 1.0, 1e-3, None, "non-finite"),
-    (PhasePoint((1.2e154, 0.5), (0.1, -0.2, 0.0)), 1.0, 1e-3, None, "non-finite"),
+    (PhasePoint((9.6e153,), (0.0, 0.0)), 1.0, 1e-3, "non-finite"),
+    (PhasePoint((1.2e154, 0.5), (0.1, -0.2, 0.0)), 1.0, 1e-3, "non-finite"),
 ]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize(
-    "z0, t_end, dt, field, message",
+    "z0, t_end, dt, message",
     ABORTS,
     ids=["crossing", "non-finite", "overflow-9.6e153", "overflow-1.2e154"],
 )
-def test_integrate_aborts_like_allocating_reference(z0, t_end, dt, field, message):
+def test_integrate_aborts_like_allocating_reference(z0, t_end, dt, message):
     raised = []
     for run in (integrate, ref.integrate):
         with pytest.raises(RuntimeError, match=message) as info:
-            run(z0, t_end, dt, field=field)
+            run(z0, t_end, dt)
         raised.append((type(info.value), str(info.value)))
     # the message names the time and the step, so equal messages mean the same step
     assert raised[0] == raised[1]
@@ -292,9 +273,6 @@ def test_toda_velocity_runs_four_times_per_step(monkeypatch):
     calls.clear()
     integrate(z0, 1.0, 0.1)
     assert len(calls) == 4 * 10
-    calls.clear()
-    integrate(z0, 1.0, 0.1, field=toda_rhs(3))  # a compiled field has its own evaluation
-    assert calls == []
     monkeypatch.undo()
     assert_same_bits(traced, integrate(z0, 1.0, 0.3, store_stride=2))
 
@@ -661,17 +639,14 @@ def test_compiled_field_empty_and_time_dependent(np_rng):
 
 
 def assert_one_point_bits(field, traj):
-    """Stacked, single-point and out= calls all give the oracle's bytes."""
+    """Stacked and single-point calls both give the oracle's bytes."""
     fast, slow = CompiledField(field), ref.MatrixField(field)
     expected = np.array([slow(x, float(t)) for x, t in zip(traj.states, traj.times)])
     stacked = fast(traj.states, traj.times)
     assert stacked.shape == traj.states.shape
     assert stacked.tobytes() == expected.tobytes()
-    out = np.full(traj.states.shape[1], np.nan)
     for x, t, row in zip(traj.states, traj.times, expected):
         assert fast(x, float(t)).tobytes() == row.tobytes()
-        fast(x, float(t), out=out)
-        assert out.tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("n", range(2, 9))
