@@ -13,18 +13,29 @@ so the same flow has many Hamiltonian descriptions.
 """
 
 from todasym import (
+    Vars,
     chi_ladder,
+    flow_residuals,
     hamiltonian,
     hamiltonian_field,
     poisson_bracket,
     poisson_tensor,
     schouten_self,
-    toda_rhs,
 )
 from todasym.ratpoly import var_names
 
 N = 3
 names = var_names(N)
+
+
+def is_toda_flow(field):
+    """True when the field satisfies the Toda equations, as written in flow_residuals."""
+    v = Vars(N)
+    a = [v.a(i) for i in range(1, N)]
+    b = [v.b(i) for i in range(1, N + 1)]
+    gammas, deltas = flow_residuals(a, b, field.a, field.b)
+    return not any(gammas + deltas)
+
 
 print(f"chain size N = {N}")
 w1 = poisson_tensor(1, N)
@@ -42,8 +53,7 @@ for i in range(w2.dim()):
             print(f"  {{{names[i]},{names[j]}}} = {w2.entry(i, j)}")
 
 print("\nstructure certificates (exact):")
-flow = toda_rhs(N)
-print("  w_1.grad H_2 is the Toda flow:   ", hamiltonian_field(w1, hamiltonian(2, N)) == flow)
+print("  w_1.grad H_2 is the Toda flow:   ", is_toda_flow(hamiltonian_field(w1, hamiltonian(2, N))))
 print("  w_1.grad H_1 vanishes (Casimir): ", hamiltonian_field(w1, hamiltonian(1, N)).is_zero())
 for k in (1, 2, 3):
     print(f"  Schouten [w_{k}, w_{k}] = 0:        ", schouten_self(poisson_tensor(k, N)).is_zero())
@@ -64,4 +74,4 @@ for k in (2, 3):
         same = chi_ladder(l, k, N) == chi_ladder(l + 1, k - 1, N)
         print(f"  w_{k}.grad H_{l} == w_{k - 1}.grad H_{l + 1}:  {same}")
 print("  in particular w_2.grad H_1 is again the Toda flow:",
-      hamiltonian_field(w2, hamiltonian(1, N)) == flow)
+      is_toda_flow(hamiltonian_field(w2, hamiltonian(1, N))))

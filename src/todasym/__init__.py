@@ -8,7 +8,6 @@ from .lattice import (
     flow_residuals,
     hamiltonian,
     symbolic_lax,
-    toda_rhs,
 )
 from .poisson import (
     PoissonTensor,
@@ -53,7 +52,6 @@ __all__ = [
     "flow_residuals",
     "hamiltonian",
     "symbolic_lax",
-    "toda_rhs",
     "PoissonTensor",
     "ThreeTensor",
     "hamiltonian_field",

@@ -182,10 +182,10 @@ def _output(path: str):
         raise BadInput(f"cannot write {path}: {exc}")
 
 
-def _load_json(path: str):
+def _load_json(path: str, parse_float=float):
     try:
         with open(path) as handle:
-            return json.load(handle)
+            return json.load(handle, parse_float=parse_float)
     except OSError as exc:
         raise BadInput(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -284,9 +284,16 @@ def cmd_hierarchy(args) -> int:
     return 0
 
 
+def _float_not_underflowing(text: str) -> float:
+    """A JSON number as a float; one that is nonzero as written must not read as 0.0."""
+    if not float(text) and text.lower().partition("e")[0].strip("-0."):
+        raise ValueError(f"the number {text} is nonzero but reads as the float 0.0")
+    return float(text)
+
+
 def cmd_symcheck(args) -> int:
-    data = _load_json(args.candidate)
     try:
+        data = _load_json(args.candidate, parse_float=_float_not_underflowing)
         cand = SymmetryCandidate.from_json_obj(data)
     except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise BadInput(f"bad candidate: {exc}")

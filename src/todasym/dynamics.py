@@ -145,36 +145,35 @@ def integrate(z0: PhasePoint, t_end: float, dt: float, *, store_stride: int = 1)
     least = np.minimum.reduce  # a.min() without its Python-level wrapper
     h = dt
     half, whole, sixth = (scale * c for c in (0.5 * h, h, h / 6.0))
-    for step in range(1, steps + 1):
-        last = short and step == steps
-        if last:
-            h = t_end - (step - 1) * dt
-            half, whole, sixth = (scale * c for c in (0.5 * h, h, h / 6.0))
-        rhs1()
-        np.add(x, np.multiply(k1, half, out=y), out=y)
-        rhs2()
-        np.add(x, np.multiply(k2, half, out=y), out=y)
-        rhs3()
-        np.add(x, np.multiply(k3, whole, out=y), out=y)
-        rhs4()
-        np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
-        np.add(acc, np.multiply(k3, 2.0, out=y), out=acc)
-        np.add(acc, k4, out=acc)
-        np.add(x, np.multiply(acc, sixth, out=acc), out=x)
-        t = z0.time + (t_end if last else step * dt)
-        if not math.isfinite(x.dot(zero)):
-            raise RuntimeError(
-                f"non-finite state at t={t:.6g} (step {step}); "
-                "reduce dt or check the field"
-            )
-        if positive_a and least(a) <= 0.0:
-            raise RuntimeError(
-                f"off-diagonal entry crossed zero at t={t:.6g} (step {step}); "
-                "dt is too large for this trajectory"
-            )
-        if step % store_stride == 0 or step == steps:
-            times[row], states[row] = t, x
-            row += 1
+    # an overflowing run is reported by the finiteness check below, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            last = short and step == steps
+            if last:
+                h = t_end - (step - 1) * dt
+                half, whole, sixth = (scale * c for c in (0.5 * h, h, h / 6.0))
+            rhs1()
+            np.add(x, np.multiply(k1, half, out=y), out=y)
+            rhs2()
+            np.add(x, np.multiply(k2, half, out=y), out=y)
+            rhs3()
+            np.add(x, np.multiply(k3, whole, out=y), out=y)
+            rhs4()
+            np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
+            np.add(acc, np.multiply(k3, 2.0, out=y), out=acc)
+            np.add(acc, k4, out=acc)
+            np.add(x, np.multiply(acc, sixth, out=acc), out=x)
+            t = z0.time + (t_end if last else step * dt)
+            if not math.isfinite(x.dot(zero)):
+                raise RuntimeError(f"non-finite state at t={t:.6g} (step {step}); reduce dt")
+            if positive_a and least(a) <= 0.0:
+                raise RuntimeError(
+                    f"off-diagonal entry crossed zero at t={t:.6g} (step {step}); "
+                    "dt is too large for this trajectory"
+                )
+            if step % store_stride == 0 or step == steps:
+                times[row], states[row] = t, x
+                row += 1
     return Trajectory(n, times, states)
 
 

@@ -106,10 +106,9 @@ class VectorField:
         """Directional derivative sum_i V^i df/dx_i over phase variables."""
         if f.n != self.n:
             raise UniverseError(f"universe mismatch: N={self.n} vs N={f.n}")
-        return Polynomial.dot(
-            self.n,
-            ((comp, f.diff_index(idx)) for idx, comp in enumerate(self.components()) if comp),
-        )
+        comps = self.components()
+        pairs = ((comps[i], f.diff_index(i)) for i in f.variables() if i < len(comps) and comps[i])
+        return Polynomial.dot(self.n, pairs)
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """Lie bracket [V, W]^i = V(W^i) - W(V^i), componentwise."""

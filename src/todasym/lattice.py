@@ -11,8 +11,11 @@ under which the equations of motion read
 
 equivalently dL/dt = [B, L] for the symmetric tridiagonal Jacobi matrix L
 (diagonal b, off-diagonal a) and the skew matrix B with +a_i above the
-diagonal.  The functions H_m = Tr(L^m)/m are conserved; their exact
-polynomial forms are built here by sparse symbolic powers of L.
+diagonal.  The equations are written once over any ring, in
+``flow_residuals`` (``toda_velocity`` is the stepper's in-place float
+kernel); the flow as a polynomial field is chi_2 = w_1 . grad H_2.  The
+functions H_m = Tr(L^m)/m are conserved; their exact polynomial forms are
+built here by symbolic powers of L, each stored as its band.
 """
 
 from __future__ import annotations
@@ -20,14 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from types import MappingProxyType as ReadOnly
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fields import VectorField
 from .ratpoly import Polynomial, Vars
 
-SymbolicMatrix = tuple[tuple[Polynomial, ...], ...]
+# read-only rows {column: nonzero entry}, 0-based and in column order
+SymbolicMatrix = tuple[Mapping[int, Polynomial], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -103,42 +107,39 @@ def flaschka(q: Sequence[float], p: Sequence[float]) -> PhasePoint:
 
 @lru_cache(maxsize=None)
 def symbolic_lax(n: int) -> SymbolicMatrix:
+    """The Jacobi matrix L: b_i on the diagonal, a_i beside it."""
     v = Vars(n)
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i == j:
-                row.append(v.b(i))
-            elif abs(i - j) == 1:
-                row.append(v.a(min(i, j)))
-            else:
-                row.append(v.zero)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(
+        ReadOnly(
+            {j: v.b(i + 1) if j == i else v.a(max(i, j)) for j in (i - 1, i, i + 1) if 0 <= j < n}
+        )
+        for i in range(n)
+    )
 
 
 @lru_cache(maxsize=None)
 def symbolic_lax_b(n: int) -> SymbolicMatrix:
+    """The skew matrix B: +a_i above the diagonal, -a_i below it."""
     v = Vars(n)
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if j == i + 1:
-                row.append(v.a(i))
-            elif j == i - 1:
-                row.append(-v.a(j))
-            else:
-                row.append(v.zero)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(
+        ReadOnly({j: v.a(i + 1) if j > i else -v.a(j + 1) for j in (i - 1, i + 1) if 0 <= j < n})
+        for i in range(n)
+    )
 
 
 def matmul_symbolic(left: SymbolicMatrix, right: SymbolicMatrix) -> SymbolicMatrix:
-    n = left[0][0].n
-    cols = tuple(zip(*right))
-    return tuple(tuple(Polynomial.dot(n, zip(row, col)) for col in cols) for row in left)
+    """Product of two band matrices: one Polynomial.dot per entry with a nonzero pair."""
+    n = len(left)
+    out = []
+    for row in left:
+        entries = {}
+        for k in sorted({k for j in row for k in right[j]}):
+            pairs = ((p, right[j][k]) for j, p in row.items() if k in right[j])
+            entry = Polynomial.dot(n, pairs)
+            if entry:
+                entries[k] = entry
+        out.append(ReadOnly(entries))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -153,22 +154,8 @@ def hamiltonian(m: int, n: int) -> Polynomial:
     """H_m = Tr(L^m) / m as an exact polynomial, homogeneous of degree m."""
     if m < 1:
         raise ValueError(f"Hamiltonian index must be >= 1, got {m}")
-    power = _lax_power(m, n)
-    trace = Polynomial.zero(n)
-    for i in range(n):
-        trace = trace + power[i][i]
+    trace = sum((row[i] for i, row in enumerate(_lax_power(m, n)) if i in row), Polynomial.zero(n))
     return trace / m
-
-
-@lru_cache(maxsize=None)
-def toda_rhs(n: int) -> VectorField:
-    """The Toda flow as a polynomial vector field."""
-    v = Vars(n)
-    a_comps = tuple(v.a(i) * (v.b(i + 1) - v.b(i)) for i in range(1, n))
-    b_comps = tuple(
-        (v.a(i) * v.a(i) - v.a(i - 1) * v.a(i - 1)).scale(2) for i in range(1, n + 1)
-    )
-    return VectorField(n, a_comps, b_comps)
 
 
 def toda_velocity(a, b_next, b_prev, da, half_db, sq, sq_next, sq_prev) -> None:

@@ -135,7 +135,7 @@ class ThreeTensor:
 
 def _gradient(p: Polynomial, dim: int) -> Row:
     """The nonzero partials d_l p over the phase directions, by l."""
-    return {l: d for l in range(dim) if (d := p.diff_index(l))}
+    return {l: p.diff_index(l) for l in p.variables() if l < dim}
 
 
 def _rows_and_columns(w: PoissonTensor) -> tuple[list[Row], list[Row]]:

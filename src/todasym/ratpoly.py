@@ -367,7 +367,12 @@ class Polynomial:
         idx = _name_index(self.n).get(name)
         if idx is None:
             raise UniverseError(f"unknown variable {name!r} for lattice size {self.n}")
-        return bool((reduce(or_, self._nums, 0) >> _layout(self.n).shifts[idx]) & _MASK)
+        return idx in self.variables()
+
+    def variables(self) -> list[int]:
+        """Indices of the variables that occur in some term, in index order."""
+        present = reduce(or_, self._nums, 0)
+        return [i for i, shift in enumerate(_layout(self.n).shifts) if (present >> shift) & _MASK]
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in graded lexicographic order.

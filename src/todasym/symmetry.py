@@ -5,9 +5,9 @@ A candidate generator is
     v = tau d/dt + sum_j phi_j d/da_j + sum_j psi_j d/db_j
 
 with polynomial coefficients in (a, b, t).  Writing D for the total
-derivative along solutions (d/dt plus the flow substituted for all dotted
-variables), first prolongation of v applied to the system residuals yields
-the determining equations
+derivative along solutions (d/dt plus the flow chi_2 substituted for all
+dotted variables), first prolongation of v applied to the system residuals
+yields the determining equations
 
     D(phi_j) - D(tau) a_j (b_{j+1} - b_j) + phi_j (b_j - b_{j+1})
              + a_j psi_j - a_j psi_{j+1} = 0,            j = 1..N-1,
@@ -40,7 +40,6 @@ from functools import lru_cache
 
 from .fields import VectorField
 from .hierarchy import chi, master_field
-from .lattice import toda_rhs
 from .ratpoly import Polynomial, Vars
 
 
@@ -105,8 +104,8 @@ class SymmetryCandidate:
 
 
 def total_derivative(f: Polynomial) -> Polynomial:
-    """Derivative of f(a, b, t) along solutions: d/dt with the flow substituted."""
-    return f.diff("t") + toda_rhs(f.n).apply(f)
+    """Derivative of f(a, b, t) along solutions: d/dt with the flow chi_2 substituted."""
+    return f.diff("t") + chi(2, f.n).apply(f)
 
 
 def determining_residuals(cand: SymmetryCandidate) -> VectorField:

@@ -3,13 +3,21 @@
 ``jacobi_matrix`` and ``lax_b_matrix`` build the dense Lax pair at a phase
 point, ``hamiltonian_value`` evaluates H_m numerically by two independent
 routes, and ``gradient`` is the dense phase-space gradient of a polynomial.
-The tests cross-check the package's exact objects against them.
+``toda_rhs`` is the Toda flow written out by hand as a polynomial field,
+the independent oracle for chi_2 and for ``flow_residuals``;
+``dense_symbolic_lax`` and ``dense_matmul_symbolic`` are the dense N x N
+symbolic Jacobi matrix and product that the band storage of
+``todasym.lattice`` is checked against.  The tests cross-check the
+package's exact objects against them.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
+from todasym.fields import VectorField
 from todasym.lattice import PhasePoint
-from todasym.ratpoly import Polynomial
+from todasym.ratpoly import Polynomial, Vars
 
 
 def jacobi_matrix(point: PhasePoint) -> np.ndarray:
@@ -56,3 +64,38 @@ def hamiltonian_value(point: PhasePoint, m: int, method: str = "eigen") -> float
     if method == "power":
         return float(np.trace(np.linalg.matrix_power(mat, m)) / m)
     raise ValueError(f"unknown method {method!r}")
+
+
+@lru_cache(maxsize=None)
+def toda_rhs(n: int) -> VectorField:
+    """The Toda flow as a polynomial vector field."""
+    v = Vars(n)
+    a_comps = tuple(v.a(i) * (v.b(i + 1) - v.b(i)) for i in range(1, n))
+    b_comps = tuple(
+        (v.a(i) * v.a(i) - v.a(i - 1) * v.a(i - 1)).scale(2) for i in range(1, n + 1)
+    )
+    return VectorField(n, a_comps, b_comps)
+
+
+def dense_symbolic_lax(n: int) -> tuple[tuple[Polynomial, ...], ...]:
+    """The symbolic Jacobi matrix L with every one of its N x N entries stored."""
+    v = Vars(n)
+    rows = []
+    for i in range(1, n + 1):
+        row = []
+        for j in range(1, n + 1):
+            if i == j:
+                row.append(v.b(i))
+            elif abs(i - j) == 1:
+                row.append(v.a(min(i, j)))
+            else:
+                row.append(v.zero)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def dense_matmul_symbolic(left, right):
+    """Dense symbolic product: one Polynomial.dot per entry, over every inner index."""
+    n = left[0][0].n
+    cols = tuple(zip(*right))
+    return tuple(tuple(Polynomial.dot(n, zip(row, col)) for col in cols) for row in left)

@@ -122,10 +122,7 @@ def integrate(
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = z0.time + (t_end if last else step * dt)
         if not np.all(np.isfinite(x)):
-            raise RuntimeError(
-                f"non-finite state at t={t:.6g} (step {step}); "
-                "reduce dt or check the field"
-            )
+            raise RuntimeError(f"non-finite state at t={t:.6g} (step {step}); reduce dt")
         if positive_a and np.any(x[: n - 1] <= 0.0):
             raise RuntimeError(
                 f"off-diagonal entry crossed zero at t={t:.6g} (step {step}); "

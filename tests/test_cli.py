@@ -331,6 +331,21 @@ def test_simulate_env_nmax_below_one_exits_two(capsys, monkeypatch, tmp_path):
     assert err == "error: nmax must be >= 1, got -5\n"
 
 
+def test_simulate_nonfinite_abort_is_one_stderr_line(tmp_path):
+    # dt = 1 is past RK4's stability limit and the state overflows at step 6;
+    # the abort message is all of stderr, with no numpy warning before it
+    init = write_init(tmp_path, {"a": [-1.0], "b": [0.0, 0.0]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "todasym", "simulate", init, "--tend", "20", "--dt", "1"],
+        capture_output=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr == b"integration aborted: non-finite state at t=6 (step 6); reduce dt\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -607,8 +622,10 @@ def test_symcheck_malformed_exits_two(capsys, tmp_path):
         # json reads the number 1e400 as inf, which no Fraction can hold
         ("1e400", "cannot convert Infinity to integer ratio"),
         ('"1/0"', "Fraction(1, 0)"),
+        # nonzero as written, but json would read it as the float 0.0
+        ("1e-400", "the number 1e-400 is nonzero but reads as the float 0.0"),
     ],
-    ids=["inf", "zero-denominator"],
+    ids=["inf", "zero-denominator", "underflow"],
 )
 def test_symcheck_unusable_coefficient_exits_two(capsys, tmp_path, coeff, message):
     path = tmp_path / "cand.json"

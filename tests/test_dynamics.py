@@ -20,11 +20,12 @@ from todasym.dynamics import (
     symmetry_map_test,
 )
 from todasym.fields import VectorField
-from todasym.lattice import PhasePoint, toda_rhs, toda_velocity
+from todasym.lattice import PhasePoint, toda_velocity
 from todasym.ratpoly import Vars
 from todasym.symmetry import SymmetryCandidate, build_Y
 import reference_dynamics as ref
 from algebra_helpers import evaluate
+from lattice_helpers import toda_rhs
 
 
 def random_point(rng, n, a_range=(0.1, 0.6), b_range=(-0.5, 0.5)):

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from todasym.fields import VectorField
-from todasym.lattice import toda_rhs
 from todasym.ratpoly import Polynomial, UniverseError, Vars
 from conftest import random_field, random_polynomial
+from lattice_helpers import toda_rhs
 
 
 def test_component_counts_enforced():
@@ -28,6 +28,17 @@ def test_apply_ignores_t_direction():
     v = Vars(2)
     field = VectorField(2, (v.one,), (v.one, v.one))
     assert field.apply(v.t).is_zero()
+
+
+def test_apply_sums_over_every_phase_direction(rng):
+    # apply differentiates only in the variables f involves; the plain sum
+    # over all 2N-1 directions is its slow oracle
+    for n in (2, 3, 4):
+        for _ in range(10):
+            field = random_field(rng, n, with_t=True)
+            f = random_polynomial(rng, n, with_t=True)
+            pairs = zip(field.components(), map(f.diff_index, range(2 * n - 1)))
+            assert field.apply(f) == sum((c * d for c, d in pairs), Polynomial.zero(n))
 
 
 def test_apply_leibniz(rng):

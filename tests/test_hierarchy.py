@@ -11,7 +11,7 @@ from todasym.hierarchy import (
     master_field,
     poisson_tensor,
 )
-from todasym.lattice import hamiltonian, toda_rhs
+from todasym.lattice import hamiltonian
 from todasym.poisson import (
     PoissonTensor,
     hamiltonian_field,
@@ -21,6 +21,7 @@ from todasym.poisson import (
 )
 from todasym.ratpoly import Polynomial, Vars
 from algebra_helpers import is_homogeneous, total_degree
+from lattice_helpers import toda_rhs
 
 
 # -- explicit low-order fields -------------------------------------------------

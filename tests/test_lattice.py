@@ -8,17 +8,25 @@ import pytest
 
 from todasym.lattice import (
     PhasePoint,
+    _lax_power,
     flaschka,
     flow_residuals,
     hamiltonian,
     matmul_symbolic,
     symbolic_lax,
     symbolic_lax_b,
-    toda_rhs,
 )
 from todasym.ratpoly import Polynomial, Vars
 from algebra_helpers import evaluate, is_homogeneous
-from lattice_helpers import gradient, hamiltonian_value, jacobi_matrix, lax_b_matrix
+from lattice_helpers import (
+    dense_matmul_symbolic,
+    dense_symbolic_lax,
+    gradient,
+    hamiltonian_value,
+    jacobi_matrix,
+    lax_b_matrix,
+    toda_rhs,
+)
 
 
 # -- Flaschka map -----------------------------------------------------------
@@ -188,15 +196,53 @@ def test_commutator_assembles_flow(n):
     flow = toda_rhs(n)
     bl = matmul_symbolic(skew, lax)
     lb = matmul_symbolic(lax, skew)
+    zero = Polynomial.zero(n)
     for i in range(n):
         for j in range(n):
-            diff = bl[i][j] - lb[i][j]
+            diff = bl[i].get(j, zero) - lb[i].get(j, zero)
             if i == j:
                 assert diff == flow.b[i]
             elif abs(i - j) == 1:
                 assert diff == flow.a[min(i, j)]
             else:
                 assert diff.is_zero()
+
+
+# -- band storage against the dense product -----------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_lax_power_band_equals_dense_product(n):
+    zero = Polynomial.zero(n)
+    lax = dense_symbolic_lax(n)
+    dense = lax
+    for m in range(1, 7):
+        band = _lax_power(m, n)
+        assert len(band) == n
+        for i, row in enumerate(band):
+            assert list(row) == sorted(row)
+            # only nonzero entries, none farther than m from the diagonal
+            assert all(entry and abs(i - j) <= m for j, entry in row.items()), (m, i)
+            assert [row.get(j, zero) for j in range(n)] == list(dense[i]), (m, i)
+        dense = dense_matmul_symbolic(dense, lax)
+    # the cached rows are shared by every caller, so they are read-only
+    with pytest.raises(TypeError):
+        _lax_power(2, n)[0][0] = zero
+
+
+def test_band_product_makes_one_dot_per_band_entry(monkeypatch):
+    # a count, not a timing: the dense product makes one dot per entry, 64 * 64
+    lax = symbolic_lax(64)
+    real = Polynomial.dot
+    calls = []
+
+    def counting(n, pairs):
+        calls.append(n)
+        return real(n, pairs)
+
+    monkeypatch.setattr(Polynomial, "dot", staticmethod(counting))
+    matmul_symbolic(lax, lax)
+    assert 0 < len(calls) <= 5 * 64
 
 
 # -- numeric Hamiltonians ----------------------------------------------------------

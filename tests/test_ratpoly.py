@@ -68,6 +68,14 @@ def test_diff_absent_variable():
     assert (v.a(1) * v.b(2)).diff("t").is_zero()
 
 
+def test_variables_are_the_directions_with_a_nonzero_partial(rng):
+    for n in (2, 3, 4):
+        for _ in range(20):
+            p = random_polynomial(rng, n, with_t=True)
+            assert p.variables() == [i for i in range(num_vars(n)) if p.diff_index(i)]
+    assert Polynomial.zero(3).variables() == []
+
+
 def test_diff_h2_in_a1():
     # H_2 at N=2 expanded by hand: b1^2/2 + b2^2/2 + a1^2
     v = Vars(2)

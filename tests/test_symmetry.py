@@ -2,7 +2,7 @@
 
 from todasym.fields import VectorField
 from todasym.hierarchy import chi, master_field
-from todasym.lattice import hamiltonian, toda_rhs
+from todasym.lattice import hamiltonian
 from todasym.ratpoly import Polynomial, Vars
 from todasym.symmetry import (
     SymmetryCandidate,
@@ -19,6 +19,7 @@ from todasym.symmetry import (
 from todasym.verify import suite_chi_brackets
 from conftest import random_polynomial
 from algebra_helpers import add_candidates, scale_candidate
+from lattice_helpers import toda_rhs
 
 
 def random_candidate(rng, n, **kw):

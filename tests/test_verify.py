@@ -37,8 +37,8 @@ WITNESS_CASES = [
         "slot (0, 1, 2): leading term a1",
     ),
     (
-        ((z, z), (v.a(1) ** 3 - v.a(1) * v.b(2), v.b(1))),
-        ((z, z), (z, z)),
+        ({0: z, 1: z}, {0: v.a(1) ** 3 - v.a(1) * v.b(2), 1: v.b(1)}),
+        ({0: z, 1: z}, {0: z, 1: z}),
         "entry (1,0): leading term -a1*b2",
     ),
 ]
@@ -82,6 +82,23 @@ def test_n_max_is_the_depth_of_chi_brackets_and_equivalence(monkeypatch):
     ]
     # at n_max 2 both suites stop at X_1: X_2 only enters as 0 * X_2 in [X1,X1]
     assert failures(2) == []
+
+
+def test_transcription_suite_catches_a_bumped_chi2(monkeypatch):
+    # one bumped coefficient of chi_2 at N=3, seen only through verify's own
+    # lookups: flow_residuals and [B, L] must both notice it
+    real = verify.chi
+    comps = list(real(2, 3).components())
+    comps[0] = verify._mutate_polynomial(comps[0], sorted(comps[0].terms)[0])
+    bad_chi2 = VectorField.from_components(3, comps)
+    monkeypatch.setattr(verify, "chi", lambda l, n: bad_chi2 if (l, n) == (2, 3) else real(l, n))
+
+    results = {r.name: r for r in verify.suite_transcription((3,), 4)}
+    assert [name for name, r in results.items() if not r.ok] == ["lax-commutator", "chi2-is-flow"]
+    assert results["H1-casimir"].status == EXACT
+    # a1*b2 - a1*b1 became 2*a1*b2 - a1*b1: the defect is the bumped term
+    assert results["chi2-is-flow"].witness == "component 0: leading term a1*b2"
+    assert results["lax-commutator"].witness == "entry (0,1): leading term -a1*b2"
 
 
 def x2_mutants(n):
