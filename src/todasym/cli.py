@@ -295,7 +295,9 @@ def cmd_symcheck(args) -> int:
     try:
         data = _load_json(args.candidate, parse_float=_float_not_underflowing)
         cand = SymmetryCandidate.from_json_obj(data)
-    except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+    except KeyError as exc:
+        raise BadInput(f"bad candidate: missing key {exc}")
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise BadInput(f"bad candidate: {exc}")
     try:
         residual = determining_residuals(cand)

@@ -28,8 +28,11 @@ grid.  Each suite is a function of (sorted sizes, n_max):
     poisson             Schouten and involution for w_1..w_{n_max-1}
                         (1 <= m <= l <= n_max); the ladder for
                         2 <= k <= n_max - 1, 1 <= l <= n_max - 1; the
-                        scaling corners L_{X_0} w_1 and L_{X_2} w_1
-    equivalence         [X_i, X_j], 0 <= i, j <= n_max - 1
+                        scaling corners L_{X_0} w_1 and L_{X_2} w_1.
+                        Each field w_k . grad H_l is built once per N
+    equivalence         [X_i, X_j], 0 <= i, j <= n_max - 1; computed for
+                        i < j only; the mirrored rows i > j and the
+                        diagonal i = j follow from antisymmetry
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from fractions import Fraction
 from .fields import VectorField
 from .hierarchy import (
     chi,
-    chi_ladder,
     equivalent_mod_chi,
     master_field,
     poisson_tensor,
@@ -52,7 +54,6 @@ from .poisson import (
     ThreeTensor,
     hamiltonian_field,
     lie_derivative,
-    poisson_bracket,
     schouten_self,
 )
 from .ratpoly import Polynomial, Vars
@@ -277,29 +278,34 @@ def suite_poisson(ns, n_max: int) -> list[CheckResult]:
                     schouten_self(poisson_tensor(k, n)),
                 )
             )
+        # w_k . grad H_l, built once: the involution and ladder checks only read it
+        fields = {
+            (k, l): hamiltonian_field(poisson_tensor(k, n), hamiltonian(l, n))
+            for k in tensors
+            for l in range(1, n_max + 1)
+        }
         for k in tensors:
-            w = poisson_tensor(k, n)
             for m in range(1, n_max + 1):
                 for l in range(m, n_max + 1):
+                    # {H_m, H_l} = (w_k . grad H_l)(H_m)
                     out.append(
                         _check(
                             "poisson",
                             f"involution-w{k}-H{m}-H{l}",
                             "{H_m, H_l} = 0 under w_k",
                             {"N": n, "k": k, "m": m, "l": l},
-                            poisson_bracket(w, hamiltonian(m, n), hamiltonian(l, n)),
+                            fields[k, l].apply(hamiltonian(m, n)),
                         )
                     )
         for k in range(2, n_max):
             for l in range(1, n_max):
-                diff = chi_ladder(l, k, n) - chi_ladder(l + 1, k - 1, n)
                 out.append(
                     _check(
                         "poisson",
                         f"ladder-w{k}-H{l}",
                         "w_k . grad H_l = w_{k-1} . grad H_{l+1}",
                         {"N": n, "k": k, "l": l},
-                        diff,
+                        fields[k, l] - fields[k - 1, l + 1],
                     )
                 )
         # L_{X_k} w_m = (m-k-2) w_{k+m} at two fixed corners, the same at every
@@ -322,19 +328,34 @@ def suite_poisson(ns, n_max: int) -> list[CheckResult]:
 
 
 def suite_equivalence(ns, n_max: int) -> list[CheckResult]:
-    """[X_i, X_j] - (j-i) X_{i+j} = k chi_{i+j+1}; each k is reported."""
+    """[X_i, X_j] - (j-i) X_{i+j} = k chi_{i+j+1}; each k is reported.
+
+    Only the pairs i < j are computed.  The bracket is exactly antisymmetric
+    over Q, so the other rows are derived: the residual of (j, i) is the
+    negated residual of (i, j), which gives the mirror -k, or a failure with
+    the witness of the negated residual; the diagonal [X_i, X_i] = 0 =
+    0 * X_{2i} is an exact pass with k = 0.
+    """
     out = []
     for n in ns:
+        # (i, j) -> (k, witness); k is None exactly when the pair fails
+        rows = {}
         for i in range(0, n_max):
-            for j in range(0, n_max):
+            rows[i, i] = Fraction(0), None
+            for j in range(i + 1, n_max):
                 bracket = master_field(i, n).bracket(master_field(j, n))
                 target = master_field(i + j, n).scale(j - i)
                 k = equivalent_mod_chi(bracket, target, i + j + 1)
                 if k is None:
-                    status, witness = FAIL, _witness(bracket - target)
+                    residual = bracket - target
+                    rows[i, j] = None, _witness(residual)
+                    rows[j, i] = None, _witness(-residual)
                 else:
-                    status = EXACT if k == 0 else MOD_EQUIV
-                    witness = None
+                    rows[i, j], rows[j, i] = (k, None), (-k, None)
+        for i in range(0, n_max):
+            for j in range(0, n_max):
+                k, witness = rows[i, j]
+                status = FAIL if k is None else EXACT if k == 0 else MOD_EQUIV
                 out.append(
                     CheckResult(
                         "equivalence",

@@ -138,6 +138,11 @@ PINNED_STDOUT = [
         "8c6dfab8ba303cdb60d7ed3bbe0c1ac96d5a0e87322f95b2c1aa08a77a5159aa",
     ),
     (
+        # the grid of the benchmark's verify-grid workload
+        ["verify", "--n", "2,3,4,5,6,7,8", "--nmax", "4", "--json"],
+        "9ee91a23fad6fe62b6f0c4687229e6ae7a2df382be33ed3f25c11a841e0567ba",
+    ),
+    (
         ["hierarchy", "--n", "4", "--nmax", "4"],
         "178fb76dc488541965384eee8056894b898e47e040b8557511a11b12c38d10fd",
     ),
@@ -145,7 +150,7 @@ PINNED_STDOUT = [
 
 
 @pytest.mark.parametrize(
-    "argv, digest", PINNED_STDOUT, ids=["verify", "verify-nmax6", "hierarchy"]
+    "argv, digest", PINNED_STDOUT, ids=["verify", "verify-nmax6", "verify-n2to8", "hierarchy"]
 )
 def test_report_bytes_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, argv)
@@ -614,6 +619,25 @@ def test_symcheck_malformed_exits_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["symcheck", str(path)])
     assert code == 2
     assert "bad candidate" in err
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"phi": [[]]}, "psi"),
+        ({"psi": [[], []]}, "phi"),
+        ({"psi": [[{"coeff": "1"}], []], "phi": [[]]}, "exps"),
+        ({"psi": [[], []], "phi": [[{"exps": {}}]]}, "coeff"),
+    ],
+    ids=["psi", "phi", "exps", "coeff"],
+)
+def test_symcheck_missing_key_exits_two(capsys, tmp_path, payload, key):
+    path = tmp_path / "cand.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, ["symcheck", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad candidate: missing key '{key}'\n"
 
 
 @pytest.mark.parametrize(

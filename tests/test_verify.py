@@ -1,4 +1,6 @@
-"""The one pass/fail rule of the verify suites, its witnesses and the depth n_max."""
+"""The one pass/fail rule of the verify suites, its witnesses, the depth n_max, and the rows and builds the suites derive rather than repeat."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +8,7 @@ from todasym.fields import VectorField
 from todasym.hierarchy import master_field, poisson_tensor
 from todasym.poisson import PoissonTensor, schouten_self
 from todasym.ratpoly import Polynomial, Vars
-from todasym import verify
+from todasym import hierarchy, poisson, verify
 from todasym.verify import EXACT, FAIL, VerifyConfig, _check, _witness, run_verify
 
 v = Vars(2)
@@ -143,3 +145,100 @@ def test_default_grid_catches_every_x2_and_w2_coefficient(monkeypatch, lookup, m
             escaped.append(label)
     assert seen == count
     assert escaped == []
+
+
+# -- the equivalence suite derives its mirrored and diagonal rows ------------------
+
+
+def full_equivalence(ns, n_max):
+    """The equivalence suite computed in full: every (i, j), with no row derived."""
+    out = []
+    for n in ns:
+        for i in range(n_max):
+            for j in range(n_max):
+                bracket = verify.master_field(i, n).bracket(verify.master_field(j, n))
+                target = verify.master_field(i + j, n).scale(j - i)
+                k = verify.equivalent_mod_chi(bracket, target, i + j + 1)
+                if k is None:
+                    status, witness = FAIL, _witness(bracket - target)
+                else:
+                    status, witness = (EXACT if k == 0 else verify.MOD_EQUIV), None
+                out.append(
+                    verify.CheckResult(
+                        "equivalence",
+                        f"[X{i},X{j}]",
+                        "[X_i, X_j] = (j-i) X_{i+j} + k chi_{i+j+1} for some rational k",
+                        {"N": n, "i": i, "j": j},
+                        status,
+                        witness,
+                        k=None if k is None else str(k),
+                    )
+                )
+    return out
+
+
+@pytest.mark.parametrize(
+    "ns, n_max", [((2, 3, 4, 5), 4), ((2, 3), 6)], ids=["n2to5-nmax4", "n2to3-nmax6"]
+)
+def test_equivalence_matches_the_full_computation(ns, n_max):
+    assert verify.suite_equivalence(ns, n_max) == full_equivalence(ns, n_max)
+
+
+def _plant_x3(monkeypatch, bad_x3):
+    real = verify.master_field
+    monkeypatch.setattr(verify, "master_field", lambda k, n: bad_x3 if (k, n) == (3, 3) else real(k, n))
+
+
+def test_equivalence_mirrors_a_planted_nonzero_k(monkeypatch):
+    # X_3 + chi_4 / 2 at N=3: [X1,X2] - X_3' = -chi_4 / 2, and the mirror flips k
+    _plant_x3(monkeypatch, master_field(3, 3) + verify.chi(4, 3).scale(Fraction(1, 2)))
+    results = verify.suite_equivalence((3,), 4)
+    assert results == full_equivalence((3,), 4)
+    rows = {r.name: r for r in results}
+    assert (rows["[X1,X2]"].status, rows["[X1,X2]"].k) == (verify.MOD_EQUIV, "-1/2")
+    assert (rows["[X2,X1]"].status, rows["[X2,X1]"].k) == (verify.MOD_EQUIV, "1/2")
+    assert (rows["[X3,X3]"].status, rows["[X3,X3]"].k) == (EXACT, "0")
+
+
+def test_equivalence_mirrors_a_planted_failure(monkeypatch):
+    comps = list(master_field(3, 3).components())
+    comps[0] = verify._mutate_polynomial(comps[0], sorted(comps[0].terms)[0])
+    _plant_x3(monkeypatch, VectorField.from_components(3, comps))
+    results = verify.suite_equivalence((3,), 4)
+    assert results == full_equivalence((3,), 4)
+    failed = {(r.params["i"], r.params["j"]) for r in results if not r.ok}
+    assert failed and failed == {(j, i) for i, j in failed}
+    assert all(i != j for i, j in failed)
+
+
+# -- work counts: each independent exact object is built once ----------------------
+
+
+def _counting(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_equivalence_brackets_only_i_below_j(monkeypatch):
+    # warm the master fields the suite reads, so only the suite's own brackets count
+    for k in range(6):
+        master_field(k, 3)
+    brackets, lookups = [], []
+    _counting(monkeypatch, VectorField, "bracket", brackets)
+    _counting(monkeypatch, verify, "master_field", lookups)
+    verify.suite_equivalence((3,), 4)
+    assert len(brackets) == 6
+    assert (6, 3) not in lookups
+
+
+def test_poisson_builds_each_hamiltonian_field_once(monkeypatch):
+    calls = []
+    for owner in (poisson, verify, hierarchy):
+        _counting(monkeypatch, owner, "hamiltonian_field", calls)
+    verify.suite_poisson((3,), 4)
+    assert len(calls) == 12
