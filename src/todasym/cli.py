@@ -182,14 +182,17 @@ def _output(path: str):
         raise BadInput(f"cannot write {path}: {exc}")
 
 
-def _load_json(path: str, parse_float=float):
+def _load_json(path: str, parse_float=float) -> dict:
     try:
         with open(path) as handle:
-            return json.load(handle, parse_float=parse_float)
+            data = json.load(handle, parse_float=parse_float)
     except OSError as exc:
         raise BadInput(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise BadInput(f"{path} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise BadInput(f"{path}: the input must be a JSON object")
+    return data
 
 
 def cmd_verify(args) -> int:
@@ -211,7 +214,9 @@ def cmd_simulate(args) -> int:
     data = _load_json(args.init)
     try:
         z0 = PhasePoint.from_json_obj(data)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
+        raise BadInput(f"bad initial data: missing key {exc}")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BadInput(f"bad initial data: {exc}")
     if not all(map(math.isfinite, (args.tend, args.dt, args.tol, args.eps))):
         raise BadInput("--tend, --dt, --tol and --eps must be finite")

@@ -28,15 +28,16 @@ products over the variables and a row-wise product with the weights.  The
 finite-difference residuals of a sampled curve are one ``flow_residuals``
 call on the transposed sample arrays.
 
-The symmetry map probe tests many candidates and eps values on one base
-trajectory, so its base run (the strided Toda trajectory and its baseline
-residuals) is memoised on ``(z0, t_end, dt, sample_stride)``.  ``integrate``
-is deterministic, so a cache hit returns the very arrays a fresh run would.
-The cache holds 8 runs, enough for the six initial points that a probe
-interleaves (one z0 is the common case); each run is a few hundred samples,
-well under 1 MB in total.  The cached arrays are read-only, so no caller
-can corrupt a later probe.  Failed runs are not cached: an aborting
-integration raises again on every call.
+The symmetry map probe runs on one grid, length 1 from z0.time at step 5e-4
+with every 5th state sampled, and tests many candidates and eps values on
+one base trajectory; so its base run (the strided Toda trajectory and its
+baseline residuals) is memoised on z0, its entries and start time.
+``integrate`` is deterministic, so a cache hit returns the very arrays a
+fresh run would.  The cache holds 8 runs, enough for the six initial points
+that a probe interleaves (one z0 is the common case); each run is a few
+hundred samples, well under 1 MB in total.  The cached arrays are
+read-only, so no caller can corrupt a later probe.  Failed runs are not
+cached: an aborting integration raises again on every call.
 """
 
 from __future__ import annotations
@@ -319,40 +320,31 @@ class SymmetryMapResult:
     baseline_residual: float
 
 
-def symmetry_map_test(
-    cand: SymmetryCandidate,
-    z0: PhasePoint,
-    eps: float,
-    t_end: float = 1.0,
-    dt: float = 5.0e-4,
-    sample_stride: int = 5,
-) -> SymmetryMapResult:
+_PROBE_T_END, _PROBE_DT, _PROBE_STRIDE = 1.0, 5.0e-4, 5  # the probe's one grid
+
+
+def symmetry_map_test(cand: SymmetryCandidate, z0: PhasePoint, eps: float) -> SymmetryMapResult:
     """Push a solution by eps times a candidate field and re-test the equations.
 
-    The Toda flow is integrated from z0, each sample z(t) is displaced to
-    z(t) + eps * Y(z(t), t), and the displaced curve's time derivative
-    (central differences on the sample grid) is compared against the flow.
-    The base trajectory and its residuals come from a memoised run (see the
-    module docstring).  A sample grid that is not uniform (see integrate) or
-    has fewer than three samples raises ValueError.
+    The Toda flow is integrated from z0 over the probe's one grid, each sample
+    z(t) is displaced to z(t) + eps * Y(z(t), t), and the displaced curve's
+    time derivative (central differences on the sample grid) is compared
+    against the flow.  The base trajectory and its residuals come from a run
+    memoised on z0 (see the module docstring).  A non-finite or non-positive
+    eps and a candidate with tau != 0 raise ValueError, and so does a start
+    time so large that the float sample times are not uniform.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if not cand.is_evolutionary():
         raise ValueError("the map test applies to evolutionary candidates (tau = 0)")
-    if sample_stride < 1:
-        raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
-    steps, _ = _step_count(t_end, dt)
-    samples = 1 + math.ceil(steps / sample_stride)
-    if samples < 3:
-        raise ValueError(f"the map test needs >= 3 samples, this grid has {samples}")
-    traj, baseline = _base_run(z0, t_end, dt, sample_stride)
+    traj, baseline = _base_run(z0)
     shifts = CompiledField(cand.as_field())(traj.states, traj.times)
     perturbed = _grid_residuals(traj.n, traj.times, traj.states + eps * shifts)
     return SymmetryMapResult(
         eps=eps,
-        t_end=t_end,
-        dt=dt,
+        t_end=_PROBE_T_END,
+        dt=_PROBE_DT,
         defect=float(np.max(np.abs(perturbed - baseline))),
         raw_residual=float(np.max(np.abs(perturbed))),
         baseline_residual=float(np.max(np.abs(baseline))),
@@ -360,11 +352,9 @@ def symmetry_map_test(
 
 
 @lru_cache(maxsize=8)
-def _base_run(
-    z0: PhasePoint, t_end: float, dt: float, sample_stride: int
-) -> tuple[Trajectory, np.ndarray]:
+def _base_run(z0: PhasePoint) -> tuple[Trajectory, np.ndarray]:
     """The strided Toda trajectory from z0 and its residuals, all read-only."""
-    traj = integrate(z0, t_end, dt, store_stride=sample_stride)
+    traj = integrate(z0, _PROBE_T_END, _PROBE_DT, store_stride=_PROBE_STRIDE)
     baseline = _grid_residuals(traj.n, traj.times, traj.states)
     for array in (traj.times, traj.states, baseline):
         array.flags.writeable = False

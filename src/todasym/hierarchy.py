@@ -17,14 +17,17 @@ The tensor ladder starts from the linear bracket w_1 with
 
 the unique tridiagonal-band tensor whose Hamiltonian field of H_2 is the
 Toda flow (H_1 is its Casimir).  Scaling along the master fields moves the
-ladder up: with the differential-geometric Lie derivative of poisson.py the
-relation that holds exactly is
+ladder up: with the differential-geometric Lie derivative of poisson.py,
 
-    L_{X_k} w_m = (m - k - 2) w_{k+m},
+    L_{X_k} w_m = (m - k - 2) w_{k+m}
 
-(the Euler case L_{X_0} w_m = (m - 2) w_m fixes the sign: w_1 has linear
-entries, so L_{X_0} w_1 = -w_1).  Each w_k is generated from that relation
-with the normalization that keeps the ladder of Hamiltonian fields aligned,
+holds exactly for k = 0 (the Euler case L_{X_0} w_m = (m - 2) w_m fixes the
+sign: w_1 has linear entries, so L_{X_0} w_1 = -w_1) and for k + m <= 4.
+Past that it holds on the schedule's pairs (k, m) = (2, 3) and (4, 2), but
+not in general: at N = 3 and 4 it fails for (1, 4), (1, 5), (2, 4), (3, 2),
+(3, 3) and (4, 1), and L_{X_1} w_4 is no multiple of w_5.  So w_k for
+k >= 5 is fixed by the schedule in poisson_tensor, not by the relation.
+Each w_k is normalized so that the ladder of Hamiltonian fields aligns,
 
     w_k . grad H_l = w_{k-1} . grad H_{l+1},
 
@@ -125,14 +128,13 @@ def poisson_tensor(k: int, n: int) -> PoissonTensor:
             entries[(a_idx, (n - 1) + (i - 1))] = -v.a(i)
             entries[(a_idx, (n - 1) + i)] = v.a(i)
         return PoissonTensor(n, entries)
-    # source tensor w_m and field X_{k-m}; scale (m - (k-m) - 2) is nonzero
+    # source tensor w_m and field X_{k-m}; scale (m - (k-m) - 2) is -2, -1,
+    # 2 - k (even k >= 4) or 4 - k (odd k >= 5), never 0
     m = 2 if k % 2 == 0 else 3
     if k <= 3:
         m = k - 1
     j = k - m
     scale = m - j - 2
-    if scale == 0:
-        raise RuntimeError(f"degenerate generation schedule for w_{k}")
     derived = lie_derivative(master_field(j, n), poisson_tensor(m, n))
     return derived / scale
 
@@ -167,14 +169,12 @@ def equivalent_mod_chi(
         return Fraction(0) if diff.is_zero() else None
     if diff.is_zero():
         return Fraction(0)
-    k = None
+    # the generator is nonzero, so some component sets k
     for d_comp, g_comp in zip(diff.components(), generator.components()):
         if g_comp.is_zero():
             continue
         mono, coeff = g_comp.sorted_terms()[0]
         k = d_comp.terms.get(mono, Fraction(0)) / coeff
         break
-    if k is None:
-        return None
     residual = diff - generator.scale(k)
     return k if residual.is_zero() else None

@@ -77,18 +77,21 @@ class PhasePoint:
 
     @classmethod
     def from_json_obj(cls, obj) -> "PhasePoint":
+        """A point from {a, b[, t]} or {q, p[, t]}; a JSON boolean is no number."""
         if "q" in obj or "p" in obj:
             if not ("q" in obj and "p" in obj):
                 raise ValueError("position/momentum input needs both 'q' and 'p'")
-            point = flaschka(obj["q"], obj["p"])
-            if "t" in obj:
-                point = PhasePoint(point.a, point.b, float(obj["t"]))
-            return point
-        return cls(
-            tuple(float(v) for v in obj["a"]),
-            tuple(float(v) for v in obj["b"]),
-            float(obj.get("t", 0.0)),
-        )
+            point = flaschka(*(tuple(map(_json_float, obj[key])) for key in "qp"))
+        else:
+            point = cls(*(tuple(map(_json_float, obj[key])) for key in "ab"))
+        return cls(point.a, point.b, _json_float(obj["t"]) if "t" in obj else 0.0)
+
+
+def _json_float(value) -> float:
+    """A JSON number as a float; float() would read true and false as 1.0 and 0.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"entries must be numbers, got {str(value).lower()}")
+    return float(value)
 
 
 def flaschka(q: Sequence[float], p: Sequence[float]) -> PhasePoint:

@@ -8,11 +8,11 @@ matrix product; ``grid_residuals`` calls ``flow_residuals`` once per interior
 sample; ``spectrum`` and ``row_drift_report`` call scipy's
 ``eigh_tridiagonal`` once per point or sampled row, with its own argument
 checks; ``drift_report`` builds a ``PhasePoint`` per sample and takes its
-spectrum with ``spectrum``; ``symmetry_map_test`` integrates its base
-trajectory afresh on every call, with no memo, and evaluates the shifts one
-sample at a time; ``integrate`` is the allocating RK4 loop of the Toda flow,
-with a fresh array for every velocity and stage sum and the full b-block
-velocity.  They are the original implementations, kept as the slow,
+spectrum with ``spectrum``; ``symmetry_map_test`` takes a base trajectory
+integrated afresh by ``base_trajectory``, with no memo, and evaluates the
+shifts one sample at a time; ``integrate`` is the allocating RK4 loop of the
+Toda flow, with a fresh array for every velocity and stage sum and the full
+b-block velocity.  They are the original implementations, kept as the slow,
 independent oracle that ``test_dynamics.py`` compares the stacked field, the
 one-call residuals, the direct LAPACK spectra, the memoised probe and the
 preallocated Toda stepper against.  Nothing in ``src/`` imports this module.
@@ -150,38 +150,46 @@ def grid_residuals(n: int, times: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
+def base_trajectory(z0: PhasePoint) -> dynamics.Trajectory:
+    """The probe's base run from z0: length 1 at step 5e-4, every 5th state.
+
+    Integrated on every call, not read from the library's memo.
+    """
+    return dynamics.integrate(z0, 1.0, 5.0e-4, store_stride=5)
+
+
 def symmetry_map_test(
-    cand: SymmetryCandidate,
-    z0: PhasePoint,
-    eps: float,
-    t_end: float = 1.0,
-    dt: float = 5.0e-4,
-    sample_stride: int = 5,
-) -> dynamics.SymmetryMapResult:
+    cand: SymmetryCandidate, traj: dynamics.Trajectory, eps_values: tuple[float, ...]
+) -> list[dynamics.SymmetryMapResult]:
     """Push a solution by eps times a candidate field and re-test the equations.
 
-    The uncached original: it integrates the base trajectory on every call
-    and evaluates ``MatrixField`` one sample at a time.  It uses the library's
-    residuals (not the loop above), so its results must equal the memoised,
-    stacked probe's bit for bit.
+    The uncached original on a given base trajectory (see ``base_trajectory``),
+    one result per eps: it evaluates ``MatrixField`` one sample at a time,
+    once for all eps, and computes the baseline residuals afresh.  It uses
+    the library's residuals (not the loop above), so its results must equal
+    the memoised, stacked probe's bit for bit.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if not cand.is_evolutionary():
         raise ValueError("the map test applies to evolutionary candidates (tau = 0)")
-    traj = dynamics.integrate(z0, t_end, dt, store_stride=sample_stride)
     compiled = MatrixField(cand.as_field())
     shifts = np.array([compiled(x, float(t)) for x, t in zip(traj.states, traj.times)])
     baseline = dynamics._grid_residuals(traj.n, traj.times, traj.states)
-    perturbed = dynamics._grid_residuals(traj.n, traj.times, traj.states + eps * shifts)
-    return dynamics.SymmetryMapResult(
-        eps=eps,
-        t_end=t_end,
-        dt=dt,
-        defect=float(np.max(np.abs(perturbed - baseline))),
-        raw_residual=float(np.max(np.abs(perturbed))),
-        baseline_residual=float(np.max(np.abs(baseline))),
-    )
+    results = []
+    for eps in eps_values:
+        if eps <= 0:
+            raise ValueError("eps must be positive")
+        perturbed = dynamics._grid_residuals(traj.n, traj.times, traj.states + eps * shifts)
+        results.append(
+            dynamics.SymmetryMapResult(
+                eps=eps,
+                t_end=1.0,
+                dt=5.0e-4,
+                defect=float(np.max(np.abs(perturbed - baseline))),
+                raw_residual=float(np.max(np.abs(perturbed))),
+                baseline_residual=float(np.max(np.abs(baseline))),
+            )
+        )
+    return results
 
 
 def spectrum(point: PhasePoint) -> np.ndarray:

@@ -249,6 +249,47 @@ def test_simulate_bad_lattice_data_exits_two(capsys, tmp_path):
     assert "bad initial data" in err
 
 
+def test_simulate_missing_key_exits_two(capsys, tmp_path):
+    init = write_init(tmp_path, {"b": [0.0, 0.0]})
+    code, out, err = run_cli(capsys, ["simulate", init])
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad initial data: missing key 'a'\n"
+
+
+@pytest.mark.parametrize(
+    "payload, word",
+    [
+        ({"a": [True], "b": [0.0, 0.0]}, "true"),
+        ({"a": [0.5], "b": [False, 0.0]}, "false"),
+        ({"a": [0.5], "b": [0.0, 0.0], "t": True}, "true"),
+        ({"q": [0.0, True], "p": [0.0, 0.0]}, "true"),
+        ({"q": [0.0, 0.0], "p": [False, 0.0]}, "false"),
+        ({"q": [0.0, 0.0], "p": [0.0, 0.0], "t": False}, "false"),
+    ],
+    ids=["a", "b", "t", "q", "p", "qp-t"],
+)
+def test_simulate_bool_entry_exits_two(capsys, tmp_path, payload, word):
+    # float() would read true as 1.0 and false as 0.0
+    init = write_init(tmp_path, payload)
+    code, out, err = run_cli(capsys, ["simulate", init])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad initial data: entries must be numbers, got {word}\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "symcheck"])
+@pytest.mark.parametrize(
+    "payload", [[1, 2], "x", 3.5, None], ids=["array", "string", "number", "null"]
+)
+def test_non_object_input_exits_two(capsys, tmp_path, command, payload):
+    path = write_init(tmp_path, payload)
+    code, out, err = run_cli(capsys, [command, path])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: the input must be a JSON object\n"
+
+
 def test_simulate_overflowing_flaschka_exits_two(capsys, tmp_path):
     # a_1 = exp((q_1 - q_2) / 2) / 2 = exp(1000) / 2 is past the float range
     init = write_init(tmp_path, {"q": [0, -2000], "p": [0, 0]})

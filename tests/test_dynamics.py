@@ -408,7 +408,7 @@ def test_trajectory_requires_increasing_times():
 
 def test_shift_symmetry_defect_is_tiny(np_rng):
     z0 = random_point(np_rng, 3)
-    result = symmetry_map_test(build_Y(-1, 3), z0, 1e-3, t_end=0.5)
+    result = symmetry_map_test(build_Y(-1, 3), z0, 1e-3)
     # shifting all b by eps maps solutions to exact solutions
     assert result.defect < 1e-10
 
@@ -416,8 +416,8 @@ def test_shift_symmetry_defect_is_tiny(np_rng):
 def test_flow_symmetry_defect_quadratic(np_rng):
     z0 = random_point(np_rng, 3)
     cand = SymmetryCandidate.from_field(toda_rhs(3))
-    d1 = symmetry_map_test(cand, z0, 1e-3, t_end=0.5).defect
-    d2 = symmetry_map_test(cand, z0, 5e-4, t_end=0.5).defect
+    d1 = symmetry_map_test(cand, z0, 1e-3).defect
+    d2 = symmetry_map_test(cand, z0, 5e-4).defect
     assert 3.0 < d1 / d2 < 5.0
 
 
@@ -428,30 +428,30 @@ def test_non_symmetry_defect_linear(np_rng):
         n, v.zero, (v.zero,) * (n - 1), (v.b(1),) + (v.zero,) * (n - 1)
     )
     z0 = random_point(np_rng, n)
-    d1 = symmetry_map_test(planted, z0, 1e-3, t_end=0.5).defect
-    d2 = symmetry_map_test(planted, z0, 5e-4, t_end=0.5).defect
+    d1 = symmetry_map_test(planted, z0, 1e-3).defect
+    d2 = symmetry_map_test(planted, z0, 5e-4).defect
     assert 1.8 < d1 / d2 < 2.2
 
 
-def test_symmetry_map_rejects_nonuniform_grid(np_rng):
-    # 600 steps at stride 7 leave a last sample 5 steps after the one before
-    z0 = random_point(np_rng, 3)
-    with pytest.raises(ValueError, match="uniform"):
-        symmetry_map_test(build_Y(1, 3), z0, 1e-3, t_end=0.3, sample_stride=7)
+def test_symmetry_map_rejects_nonuniform_grid():
+    # at t = 1e9 a float spacing is 1.2e-7, so steps of 2.5e-3 round unevenly
+    z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0), 1e9)
+    with pytest.raises(ValueError, match="residual grid must be uniform"):
+        symmetry_map_test(build_Y(1, 3), z0, 1e-3)
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf], ids=["nan", "inf"])
 def test_symmetry_map_rejects_non_finite_eps(eps):
     z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0))
     with pytest.raises(ValueError, match=f"eps must be positive and finite, got {eps}"):
-        symmetry_map_test(build_Y(1, 3), z0, eps, t_end=0.1)
+        symmetry_map_test(build_Y(1, 3), z0, eps)
 
 
 def test_zero_candidate_has_zero_defect(np_rng):
     n = 3
     v = Vars(n)
     zero = SymmetryCandidate(n, v.zero, (v.zero,) * (n - 1), (v.zero,) * n)
-    result = symmetry_map_test(zero, random_point(np_rng, n), 1e-3, t_end=0.25)
+    result = symmetry_map_test(zero, random_point(np_rng, n), 1e-3)
     assert result.defect == 0.0
     assert result.raw_residual == result.baseline_residual
 
@@ -500,30 +500,10 @@ def probe_candidates(n):
 PROBE_EPS = (1e-3, 5e-4, 2.5e-4)
 
 
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        ({"t_end": 0.0}, "this grid has 1"),
-        ({"t_end": 5e-4, "sample_stride": 1}, "this grid has 2"),
-        ({"t_end": 0.01, "dt": 1e-3, "sample_stride": 10}, "this grid has 2"),
-        ({"sample_stride": 0}, "sample_stride must be >= 1, got 0"),
-        ({"sample_stride": -1}, "sample_stride must be >= 1, got -1"),
-    ],
-    ids=["t_end-0", "t_end-dt", "one-stride", "stride-0", "stride-negative"],
-)
-def test_symmetry_map_rejects_short_grid_and_bad_stride(base_runs, kwargs, message):
-    z0 = PhasePoint((0.5,), (0.0, 0.0))
-    symmetry_map_test(build_Y(1, 2), z0, 1e-3, t_end=0.05)
-    before = base_runs.cache_info()
-    with pytest.raises(ValueError, match=message):
-        symmetry_map_test(build_Y(1, 2), z0, 1e-3, **kwargs)
-    # rejected before the memo is consulted, so no cache state can change the error
-    assert base_runs.cache_info() == before
-
-
 def test_memoised_probe_equals_uncached_reference(base_runs):
     # probe's z0 ranges and eps values over N = 3..6, the z0 interleaved in a
-    # shuffled op order; t_end = 0.25 keeps the 72 reference integrations short
+    # shuffled op order; the reference integrates each z0 once, outside the
+    # memo, and evaluates each candidate's shifts once for all eps
     rng = random.Random(20240818)
     ops = []
     for n in (3, 4, 5, 6):
@@ -531,12 +511,13 @@ def test_memoised_probe_equals_uncached_reference(base_runs):
             tuple(rng.uniform(0.2, 0.5) for _ in range(n - 1)),
             tuple(rng.uniform(-0.4, 0.4) for _ in range(n)),
         )
-        ops += [(cand, z0, eps) for cand in probe_candidates(n) for eps in PROBE_EPS]
+        traj = ref.base_trajectory(z0)
+        for cand in probe_candidates(n):
+            expected = ref.symmetry_map_test(cand, traj, PROBE_EPS)
+            ops += [(cand, z0, eps, slow) for eps, slow in zip(PROBE_EPS, expected)]
     rng.shuffle(ops)
-    for cand, z0, eps in ops:
-        fast = symmetry_map_test(cand, z0, eps, t_end=0.25)
-        slow = ref.symmetry_map_test(cand, z0, eps, t_end=0.25)
-        assert fast == slow
+    for cand, z0, eps, slow in ops:
+        assert symmetry_map_test(cand, z0, eps) == slow
     assert base_runs.cache_info().misses == 4
 
 
@@ -550,20 +531,22 @@ def test_probe_integrates_once_per_z0(base_runs, integrations, np_rng):
 
 
 def test_base_run_key_covers_every_grid_parameter(base_runs, integrations):
+    # the grid is fixed but for its start, so the key is z0: its a, b and time
     z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0))
     cand = build_Y(1, 3)
-    base = {"t_end": 0.1, "dt": 1e-3, "sample_stride": 5}
-    symmetry_map_test(cand, z0, 1e-3, **base)
-    symmetry_map_test(cand, z0, 5e-4, **base)
+    symmetry_map_test(cand, z0, 1e-3)
+    symmetry_map_test(cand, z0, 5e-4)
     assert len(integrations) == 1
-    shifted_start = PhasePoint(z0.a, z0.b, 0.5)
-    symmetry_map_test(cand, shifted_start, 1e-3, **base)
-    assert len(integrations) == 2
-    for change in ({"t_end": 0.2}, {"dt": 5e-4}, {"sample_stride": 4}):
+    changes = (
+        PhasePoint(z0.a, z0.b, 0.5),
+        PhasePoint((0.5, 0.25), z0.b),
+        PhasePoint(z0.a, (0.1, -0.2, 0.125)),
+    )
+    for point in changes:
         before = len(integrations)
-        symmetry_map_test(cand, z0, 1e-3, **{**base, **change})
-        assert len(integrations) == before + 1, change
-    assert base_runs.cache_info().misses == 5
+        symmetry_map_test(cand, point, 1e-3)
+        assert len(integrations) == before + 1, point
+    assert base_runs.cache_info().misses == 4
 
 
 def test_base_run_key_ignores_entry_types(base_runs, integrations):
@@ -571,14 +554,14 @@ def test_base_run_key_ignores_entry_types(base_runs, integrations):
     z0 = PhasePoint((0.5, 0.25), (0.125, -0.25, 0.0))
     same = PhasePoint([np.float64(0.5), 0.25], np.array([0.125, -0.25, 0.0]), 0)
     for point in (z0, same):
-        symmetry_map_test(build_Y(1, 3), point, 1e-3, t_end=0.1)
+        symmetry_map_test(build_Y(1, 3), point, 1e-3)
     assert len(integrations) == 1
 
 
 def test_base_run_arrays_are_read_only(base_runs):
     z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0))
-    symmetry_map_test(build_Y(1, 3), z0, 1e-3, t_end=0.1)
-    traj, baseline = base_runs(z0, 0.1, 5e-4, 5)
+    symmetry_map_test(build_Y(1, 3), z0, 1e-3)
+    traj, baseline = base_runs(z0)
     assert base_runs.cache_info().hits == 1
     for array in (traj.times, traj.states, baseline):
         with pytest.raises(ValueError, match="read-only"):
@@ -586,11 +569,11 @@ def test_base_run_arrays_are_read_only(base_runs):
 
 
 def test_aborted_base_run_is_not_cached(base_runs, integrations):
-    # the coarse step drives a coupling through zero (see the abort test above)
-    z0 = PhasePoint((1.6, 1.9), (1.9, -1.7, -0.4))
+    # a_1^2 overflows in the first step's stages
+    z0 = PhasePoint((1e154, 0.3), (0.1, -0.2, 0.0))
     for _ in range(2):
-        with pytest.raises(RuntimeError, match="crossed zero"):
-            symmetry_map_test(build_Y(1, 3), z0, 1e-3, t_end=20.0, dt=0.55, sample_stride=1)
+        with pytest.raises(RuntimeError, match="non-finite state at t=0.0005 \\(step 1\\)"):
+            symmetry_map_test(build_Y(1, 3), z0, 1e-3)
     assert len(integrations) == 2
     assert base_runs.cache_info().currsize == 0
 

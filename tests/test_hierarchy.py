@@ -289,6 +289,12 @@ def test_tensor_scaling_cross_check():
         assert lhs == poisson_tensor(3, n).scale(-3)
 
 
+def test_tensor_scaling_fails_off_schedule_past_degree_four():
+    # L_{X_1} w_4 != (4 - 1 - 2) w_5: the schedule, not the relation, fixes w_5
+    lhs = lie_derivative(master_field(1, 3), poisson_tensor(4, 3))
+    assert lhs != poisson_tensor(5, 3)
+
+
 def test_higher_tensors_generate():
     # the schedule extends past the acceptance range without degenerating
     w4 = poisson_tensor(4, 2)
