@@ -38,12 +38,26 @@ that a probe interleaves (one z0 is the common case); each run is a few
 hundred samples, well under 1 MB in total.  The cached arrays are
 read-only, so no caller can corrupt a later probe.  Failed runs are not
 cached: an aborting integration raises again on every call.
+
+A candidate's shifts Y(z(t), t) on the base run do not depend on eps, and
+every probe tests each (candidate, z0) at several eps, so the shifts are
+memoised too, keyed on the candidate's identity and z0.  The key is the
+object, not its value: two equal candidates may hold their terms in another
+order, and CompiledField then sums them in another order, which can move a
+shift by an ulp; an identity key keeps the promise that a hit returns the
+very array a fresh evaluation would.  Each entry holds its candidate, so
+its id cannot be reused while the entry lives.  The memo holds the 64 most
+recently used pairs (8 base runs x 8 candidates), at most
+64 x 401 x (2N - 1) x 8 bytes, about 2.3 MB at N = 6; the arrays are
+read-only.  Only the eps-dependent part, the displaced curve's residuals
+and their maxima, runs on every call, so results keep their bits.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import IO
@@ -330,16 +344,20 @@ def symmetry_map_test(cand: SymmetryCandidate, z0: PhasePoint, eps: float) -> Sy
     z(t) is displaced to z(t) + eps * Y(z(t), t), and the displaced curve's
     time derivative (central differences on the sample grid) is compared
     against the flow.  The base trajectory and its residuals come from a run
-    memoised on z0 (see the module docstring).  A non-finite or non-positive
-    eps and a candidate with tau != 0 raise ValueError, and so does a start
-    time so large that the float sample times are not uniform.
+    memoised on z0, and the shifts Y(z(t), t) from a memo keyed on the
+    candidate object and z0 (see the module docstring).  A non-finite or
+    non-positive eps, a candidate with tau != 0 or another lattice size than
+    z0 raise ValueError, and so does a start time so large that the float
+    sample times are not uniform.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if not cand.is_evolutionary():
         raise ValueError("the map test applies to evolutionary candidates (tau = 0)")
+    if cand.n != z0.n:
+        raise ValueError(f"the candidate has N={cand.n} but z0 has N={z0.n}")
     traj, baseline = _base_run(z0)
-    shifts = CompiledField(cand.as_field())(traj.states, traj.times)
+    shifts = _shifts(cand, z0, traj)
     perturbed = _grid_residuals(traj.n, traj.times, traj.states + eps * shifts)
     return SymmetryMapResult(
         eps=eps,
@@ -359,6 +377,25 @@ def _base_run(z0: PhasePoint) -> tuple[Trajectory, np.ndarray]:
     for array in (traj.times, traj.states, baseline):
         array.flags.writeable = False
     return traj, baseline
+
+
+# (id(cand), z0) -> (cand, shifts), least recently used first; see the module docstring
+_SHIFTS: OrderedDict = OrderedDict()
+_SHIFTS_MAX = 64  # 8 base runs x 8 candidates
+
+
+def _shifts(cand: SymmetryCandidate, z0: PhasePoint, traj: Trajectory) -> np.ndarray:
+    """The candidate's field on every sample of the base run from z0, read-only."""
+    key = (id(cand), z0)
+    if key in _SHIFTS:
+        _SHIFTS.move_to_end(key)
+        return _SHIFTS[key][1]
+    shifts = CompiledField(cand.as_field())(traj.states, traj.times)
+    shifts.flags.writeable = False
+    _SHIFTS[key] = cand, shifts
+    if len(_SHIFTS) > _SHIFTS_MAX:
+        _SHIFTS.popitem(last=False)
+    return shifts
 
 
 def _grid_residuals(n: int, times: np.ndarray, states: np.ndarray) -> np.ndarray:

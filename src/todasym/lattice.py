@@ -20,7 +20,9 @@ built here by symbolic powers of L, each stored as its band.
 
 from __future__ import annotations
 
+import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType as ReadOnly
@@ -77,7 +79,7 @@ class PhasePoint:
 
     @classmethod
     def from_json_obj(cls, obj) -> "PhasePoint":
-        """A point from {a, b[, t]} or {q, p[, t]}; a JSON boolean is no number."""
+        """A point from {a, b[, t]} or {q, p[, t]}; every entry must be a JSON number."""
         if "q" in obj or "p" in obj:
             if not ("q" in obj and "p" in obj):
                 raise ValueError("position/momentum input needs both 'q' and 'p'")
@@ -88,9 +90,9 @@ class PhasePoint:
 
 
 def _json_float(value) -> float:
-    """A JSON number as a float; float() would read true and false as 1.0 and 0.0."""
-    if isinstance(value, bool):
-        raise ValueError(f"entries must be numbers, got {str(value).lower()}")
+    """A JSON number as a float; float() would also read true as 1.0 and "0.5" as 0.5."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"entries must be numbers, got {json.dumps(value, default=repr)}")
     return float(value)
 
 

@@ -35,6 +35,7 @@ passes both, which is verified exactly by verify_theorem.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -97,6 +98,8 @@ class SymmetryCandidate:
     def from_json_obj(cls, obj) -> "SymmetryCandidate":
         psi = obj["psi"]
         n = obj.get("N", len(psi))
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"N must be a JSON integer, got {json.dumps(n, default=repr)}")
         tau = Polynomial.from_json_terms(n, obj.get("tau", []))
         phi = tuple(Polynomial.from_json_terms(n, item) for item in obj["phi"])
         psi_polys = tuple(Polynomial.from_json_terms(n, item) for item in psi)

@@ -266,11 +266,15 @@ def test_simulate_missing_key_exits_two(capsys, tmp_path):
         ({"q": [0.0, True], "p": [0.0, 0.0]}, "true"),
         ({"q": [0.0, 0.0], "p": [False, 0.0]}, "false"),
         ({"q": [0.0, 0.0], "p": [0.0, 0.0], "t": False}, "false"),
+        ({"a": ["0.5"], "b": ["0.1", "-0.1"]}, '"0.5"'),
+        ({"a": [0.5], "b": [0.1, -0.1], "t": "1"}, '"1"'),
+        ({"q": [0.0, "0"], "p": [0.0, 0.0]}, '"0"'),
+        ({"a": [None], "b": [0.1, -0.1]}, "null"),
     ],
-    ids=["a", "b", "t", "q", "p", "qp-t"],
+    ids=["a", "b", "t", "q", "p", "qp-t", "string-a", "string-t", "string-q", "null"],
 )
 def test_simulate_bool_entry_exits_two(capsys, tmp_path, payload, word):
-    # float() would read true as 1.0 and false as 0.0
+    # float() would read true as 1.0, false as 0.0 and the string "0.5" as 0.5
     init = write_init(tmp_path, payload)
     code, out, err = run_cli(capsys, ["simulate", init])
     assert code == 2
@@ -679,6 +683,17 @@ def test_symcheck_missing_key_exits_two(capsys, tmp_path, payload, key):
     assert code == 2
     assert out == ""
     assert err == f"error: bad candidate: missing key '{key}'\n"
+
+
+@pytest.mark.parametrize("size", ["2.0", "true"], ids=["float", "bool"])
+def test_symcheck_non_integer_size_exits_two(capsys, tmp_path, size):
+    # neither is a size: 2.0 is a float, and Python would read true as 1
+    path = tmp_path / "cand.json"
+    path.write_text('{"N": %s, "tau": [], "phi": [[]], "psi": [[], []]}' % size)
+    code, out, err = run_cli(capsys, ["symcheck", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad candidate: N must be a JSON integer, got {size}\n"
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from todasym.dynamics import (
 )
 from todasym.fields import VectorField
 from todasym.lattice import PhasePoint, toda_velocity
-from todasym.ratpoly import Vars
+from todasym.ratpoly import Polynomial, Vars
 from todasym.symmetry import SymmetryCandidate, build_Y
 import reference_dynamics as ref
 from algebra_helpers import evaluate
@@ -456,6 +456,14 @@ def test_zero_candidate_has_zero_defect(np_rng):
     assert result.raw_residual == result.baseline_residual
 
 
+@pytest.mark.parametrize("k, n, m", [(1, 3, 4), (0, 3, 2)])
+def test_symmetry_map_rejects_size_mismatch(k, n, m):
+    # numpy's broadcast error (N=4) and an IndexError (N=2) before the check
+    z0 = PhasePoint((0.5,) * (m - 1), (0.1,) * m)
+    with pytest.raises(ValueError, match=f"^the candidate has N={n} but z0 has N={m}$"):
+        symmetry_map_test(build_Y(k, n), z0, 1e-3)
+
+
 def test_symmetry_map_rejects_nonzero_tau():
     from todasym.symmetry import candidate_time_translation
 
@@ -469,9 +477,12 @@ def test_symmetry_map_rejects_nonzero_tau():
 
 @pytest.fixture
 def base_runs():
+    """The base-run memo, emptied before and after the test with the shifts memo."""
     dynamics._base_run.cache_clear()
+    dynamics._SHIFTS.clear()
     yield dynamics._base_run
     dynamics._base_run.cache_clear()
+    dynamics._SHIFTS.clear()
 
 
 @pytest.fixture
@@ -488,6 +499,20 @@ def integrations(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts the fields compiled by dynamics.CompiledField, looked up at call time."""
+    fields = []
+    real = dynamics.CompiledField
+
+    def counted(field):
+        fields.append(field)
+        return real(field)
+
+    monkeypatch.setattr(dynamics, "CompiledField", counted)
+    return fields
+
+
 def planted_candidate(n):
     v = Vars(n)
     return SymmetryCandidate(n, v.zero, (v.zero,) * (n - 1), (v.b(1),) + (v.zero,) * (n - 1))
@@ -500,7 +525,7 @@ def probe_candidates(n):
 PROBE_EPS = (1e-3, 5e-4, 2.5e-4)
 
 
-def test_memoised_probe_equals_uncached_reference(base_runs):
+def test_memoised_probe_equals_uncached_reference(base_runs, builds):
     # probe's z0 ranges and eps values over N = 3..6, the z0 interleaved in a
     # shuffled op order; the reference integrates each z0 once, outside the
     # memo, and evaluates each candidate's shifts once for all eps
@@ -519,15 +544,63 @@ def test_memoised_probe_equals_uncached_reference(base_runs):
     for cand, z0, eps, slow in ops:
         assert symmetry_map_test(cand, z0, eps) == slow
     assert base_runs.cache_info().misses == 4
+    assert len(builds) == 24  # 4 z0 x 6 candidates, each for all three eps
 
 
-def test_probe_integrates_once_per_z0(base_runs, integrations, np_rng):
+def test_probe_integrates_once_per_z0(base_runs, integrations, builds, np_rng):
     z0 = random_point(np_rng, 3, a_range=(0.2, 0.5), b_range=(-0.4, 0.4))
     for cand in probe_candidates(3):
         for eps in PROBE_EPS:
             symmetry_map_test(cand, z0, eps)
     assert len(integrations) == 1
     assert base_runs.cache_info().hits == 17
+    assert len(builds) == 6  # and compiles each candidate once for the three eps
+
+
+def reversed_terms(p):
+    return Polynomial(p.n, dict(reversed(list(p.terms.items()))))
+
+
+def test_equal_candidate_is_compiled_anew(base_runs, builds):
+    # an equal candidate with its terms in another order sums them in another
+    # order: its shifts differ in the last bits, so it must not share an entry
+    cand = build_Y(3, 5)
+    copy = SymmetryCandidate(
+        cand.n,
+        reversed_terms(cand.tau),
+        tuple(map(reversed_terms, cand.phi)),
+        tuple(map(reversed_terms, cand.psi)),
+    )
+    assert copy == cand and copy is not cand
+    z0 = PhasePoint((0.3, 0.4, 0.25, 0.45), (0.1, -0.2, 0.3, 0.0, -0.1))
+    symmetry_map_test(cand, z0, 1e-3)
+    memoised = symmetry_map_test(copy, z0, 1e-3)
+    assert len(builds) == 2
+    traj, _ = base_runs(z0)
+    cached = dynamics._SHIFTS[id(copy), z0][1]
+    fresh = CompiledField(copy.as_field())(traj.states, traj.times)
+    np.testing.assert_array_equal(cached, fresh)
+    assert not np.array_equal(dynamics._SHIFTS[id(cand), z0][1], fresh)
+    dynamics._SHIFTS.clear()
+    assert symmetry_map_test(copy, z0, 1e-3) == memoised
+
+
+def test_shifts_memo_evicts_least_recently_used(base_runs, builds):
+    n = 2
+    v = Vars(n)
+    z0 = PhasePoint((0.5,), (0.1, -0.1))
+    cands = [SymmetryCandidate(n, v.zero, (v.zero,), (v.const(i), v.zero)) for i in range(65)]
+    for cand in cands[:64]:
+        symmetry_map_test(cand, z0, 1e-3)
+    symmetry_map_test(cands[0], z0, 1e-3)  # a hit: cands[1] is now the oldest
+    assert len(builds) == 64
+    symmetry_map_test(cands[64], z0, 1e-3)
+    assert len(dynamics._SHIFTS) == 64
+    assert (id(cands[0]), z0) in dynamics._SHIFTS
+    assert (id(cands[1]), z0) not in dynamics._SHIFTS
+    symmetry_map_test(cands[1], z0, 1e-3)  # evicted, so compiled again
+    assert len(builds) == 66
+    assert (id(cands[2]), z0) not in dynamics._SHIFTS
 
 
 def test_base_run_key_covers_every_grid_parameter(base_runs, integrations):
@@ -560,10 +633,13 @@ def test_base_run_key_ignores_entry_types(base_runs, integrations):
 
 def test_base_run_arrays_are_read_only(base_runs):
     z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0))
-    symmetry_map_test(build_Y(1, 3), z0, 1e-3)
+    cand = build_Y(1, 3)
+    symmetry_map_test(cand, z0, 1e-3)
     traj, baseline = base_runs(z0)
     assert base_runs.cache_info().hits == 1
-    for array in (traj.times, traj.states, baseline):
+    held, shifts = dynamics._SHIFTS[id(cand), z0]  # the memoised shifts too
+    assert held is cand
+    for array in (traj.times, traj.states, baseline, shifts):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
 
