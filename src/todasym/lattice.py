@@ -79,14 +79,23 @@ class PhasePoint:
 
     @classmethod
     def from_json_obj(cls, obj) -> "PhasePoint":
-        """A point from {a, b[, t]} or {q, p[, t]}; every entry must be a JSON number."""
+        """A point from {a, b[, t]} or {q, p[, t]}; a, b, q and p must be JSON
+        arrays, and every entry a JSON number."""
         if "q" in obj or "p" in obj:
             if not ("q" in obj and "p" in obj):
                 raise ValueError("position/momentum input needs both 'q' and 'p'")
-            point = flaschka(*(tuple(map(_json_float, obj[key])) for key in "qp"))
+            point = flaschka(*(_json_floats(obj, key) for key in "qp"))
         else:
-            point = cls(*(tuple(map(_json_float, obj[key])) for key in "ab"))
+            point = cls(*(_json_floats(obj, key) for key in "ab"))
         return cls(point.a, point.b, _json_float(obj["t"]) if "t" in obj else 0.0)
+
+
+def _json_floats(obj, key: str) -> tuple[float, ...]:
+    """obj[key] as a tuple of floats; it must be a JSON array of numbers."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a JSON array, got {json.dumps(value, default=repr)}")
+    return tuple(map(_json_float, value))
 
 
 def _json_float(value) -> float:

@@ -33,6 +33,35 @@ Monagan & Pearce, CASC 2007):
   derivatives, tensor contractions and matrix products are each one call;
   ``p * q`` is the single-pair case.
 
+``dot`` has two kernels, and both return the same terms in the same order:
+
+* The loop takes the pairs in turn and, within a pair, each term of the
+  smaller operand against each term of the larger, adding each product
+  into the map; a monomial enters the map at its first product.
+* The array kernel holds each operand's terms as exponent rows and int64
+  numerators, built on first use and kept on the polynomial.  It encodes
+  the rows as mixed-radix int64 keys, forms all term products at once as
+  sums of keys and products of numerators, sums equal keys after one sort,
+  and puts the sums back in the order of each key's first product: the
+  loop's order, which ``CompiledField`` sums terms in, so float results
+  depend on it.
+* Choice: a call of the array kernel costs a few hundred of the loop's
+  term pairs before it starts, and converting an operand term or emitting
+  a result term costs one or two more.  So a product runs on arrays when
+  it has at least 800 term pairs plus 2 per operand term (an operand
+  counted once per pair it is in).  Schouten brackets of deep tensors,
+  with about ten times as many term pairs as terms, take the arrays; Lie
+  brackets of fields, with about twice as many, stay on the loop.
+* Exactness: the array kernel runs only when three bounds hold, each
+  checked before any array arithmetic.  The sum over pairs of
+  max|numerator of p| * max|numerator of q| * (common denominator /
+  (den p * den q)) * min(len p, len q) stays below 2**62; it bounds every
+  partial sum at one key.  The radix product, times the room the sort
+  needs for the product's index beside each key, stays below 2**62.  No
+  exponent of a product reaches ``EXPONENT_LIMIT``; if one does, it raises
+  ``ExponentError``, as the loop does.  If a bound fails, or a numerator
+  does not fit int64, the loop runs.
+
 The packed form is private to this module.  ``Polynomial.terms`` is a
 read-only mapping from exponent tuples (length 2N) to ``Fraction``, decoded
 on access; its ``len`` does not decode.
@@ -46,11 +75,14 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import accumulate, chain, repeat
 from math import gcd, isfinite, lcm
 from operator import or_
 from struct import Struct
 from struct import error as StructError
 from typing import Iterable, Iterator
+
+import numpy as np
 
 Monomial = tuple[int, ...]
 Scalar = int | Fraction
@@ -58,6 +90,15 @@ Scalar = int | Fraction
 _BITS = 16
 _MASK = (1 << _BITS) - 1
 EXPONENT_LIMIT = 1 << (_BITS - 1)
+
+# The vectorised kernel of Polynomial.dot keeps every key and every partial
+# sum of numerators below this bound, so int64 arithmetic on them is exact.
+_INT64_BOUND = 1 << 62
+# None chooses dot's kernel by operand size (see the module docstring); True
+# runs the int64 kernel wherever its bounds hold, False never runs it.
+_VECTOR_KERNEL: bool | None = None
+_VECTOR_MIN_PAIRS = 800
+_VECTOR_PAIRS_PER_TERM = 2
 
 
 class UniverseError(ValueError):
@@ -144,6 +185,130 @@ def _make(n: int, nums: dict[int, int], den: int) -> "Polynomial":
     return poly
 
 
+def _dot_loop(n: int, factors, den: int) -> dict[int, int]:
+    """The numerator map of sum small * large over den, one term pair at a time."""
+    out: dict[int, int] = {}
+    get = out.get
+    for small, large in factors:
+        f = den // (small._den * large._den)
+        terms = large._nums.items()
+        for m1, c1 in small._nums.items():
+            c1 *= f
+            for m2, c2 in terms:
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+    # each field summed two exponents below 2**15, so nothing carried;
+    # a set guard bit means an exponent reached the limit
+    if reduce(or_, out, 0) & _layout(n).guard:
+        raise ExponentError(f"product has an exponent at or above {EXPONENT_LIMIT}")
+    if 0 in out.values():  # some sums of term products cancelled exactly
+        out = {m: c for m, c in out.items() if c}
+    return out
+
+
+def _convert(polys: list["Polynomial"]) -> bool:
+    """Keep on each polynomial its terms as arrays, in term order.
+
+    The arrays are the exponent rows, the int64 numerators and the largest
+    |numerator|.  Returns False, and keeps nothing, if a numerator does not
+    fit int64.
+    """
+    layout = _layout(polys[0].n)
+    sizes = [len(p._nums) for p in polys]
+    total = sum(sizes)
+    try:
+        nums = np.fromiter(chain.from_iterable(p._nums.values() for p in polys), np.int64, total)
+    except OverflowError:
+        return False
+    keys = chain.from_iterable(p._nums for p in polys)
+    rows = b"".join(map(int.to_bytes, keys, repeat(layout._nbytes), repeat("big")))
+    exps = np.frombuffer(rows, ">u2").reshape(total, layout.width).astype(np.uint16)
+    starts = list(accumulate(sizes, initial=0))
+    highs = np.maximum.reduceat(nums, starts[:-1]).tolist()
+    lows = np.minimum.reduceat(nums, starts[:-1]).tolist()
+    for p, start, end, high, low in zip(polys, starts, starts[1:], highs, lows):
+        object.__setattr__(p, "_arrays", (exps[start:end], nums[start:end], max(high, -low)))
+    return True
+
+
+def _dot_vector(n: int, factors, den: int, term_pairs: int) -> dict[int, int] | None:
+    """_dot_loop's map, computed in int64 arrays; None if a bound rules int64 out."""
+    operands = list({id(p): p for pair in factors for p in pair}.values())
+    fresh = [p for p in operands if not hasattr(p, "_arrays")]
+    if fresh and not _convert(fresh):
+        return None
+    index = {id(p): i for i, p in enumerate(operands)}
+    left = [index[id(small)] for small, _ in factors]
+    right = [index[id(large)] for _, large in factors]
+    scales = [den // (small._den * large._den) for small, large in factors]
+    sizes = [len(p._nums) for p in operands]
+    maxabs = [p._arrays[2] for p in operands]
+    # each factor adds at most len(small) products to the numerator of one key
+    bound = 0
+    for a, b, f in zip(left, right, scales):
+        bound += maxabs[a] * maxabs[b] * f * sizes[a]
+    if bound >= _INT64_BOUND:
+        return None
+    starts = list(accumulate(sizes, initial=0))[:-1]
+    exps = np.concatenate([p._arrays[0] for p in operands])
+    tops = np.maximum.reduceat(exps, starts, axis=0).astype(np.int64)
+    top = (tops[left] + tops[right]).max(axis=0).tolist()
+    if max(top) >= EXPONENT_LIMIT:
+        raise ExponentError(f"product has an exponent at or above {EXPONENT_LIMIT}")
+    # keys in mixed radix, digit v in 0..top[v], shifted left by `bits` to
+    # make room for the pair's index: one sort then orders the pairs by key
+    # and, within a key, in the order the loop meets them
+    bits = term_pairs.bit_length()
+    weights = [0] * len(top)
+    radix = 1
+    for v in range(len(top) - 1, -1, -1):
+        weights[v] = radix
+        radix *= top[v] + 1
+    if radix << bits >= _INT64_BOUND:
+        return None
+    mixed = exps @ np.array(weights, np.int64)
+    nums = np.concatenate([p._arrays[1] for p in operands])
+    # one row per (factor, term of small) and one column per term of large,
+    # row-major in the loop's order; row_term and col_term index the terms
+    row_term, width, base, scale = [], [], [], []
+    for a, b, f in zip(left, right, scales):
+        rows = sizes[a]
+        row_term += range(starts[a], starts[a] + rows)
+        width += [sizes[b]] * rows
+        base += [starts[b]] * rows
+        scale += [f] * rows
+    row_term, width, base, scale = np.array([row_term, width, base, scale], np.int64)
+    row_start = np.cumsum(width) - width
+    pair = np.arange(term_pairs)
+    col_term = np.repeat(base - row_start, width)
+    col_term += pair
+    coeffs = np.repeat(nums[row_term] * scale, width)
+    coeffs *= nums[col_term]
+    keys = np.repeat(mixed[row_term], width)
+    keys += mixed[col_term]
+    keys <<= bits
+    keys |= pair
+    keys.sort()
+    order = keys & ((1 << bits) - 1)
+    keys >>= bits
+    head = np.empty(term_pairs, bool)
+    head[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    sums = np.add.reduceat(coeffs[order], heads)
+    kept = np.flatnonzero(sums)
+    if not kept.size:
+        return {}
+    # each key's first pair, in the order the loop inserts the keys
+    first = order[heads[kept]]
+    back = np.argsort(first)
+    first, sums = first[back], sums[kept[back]]
+    row = np.searchsorted(row_start, first, side="right") - 1
+    packed = np.fromiter(chain.from_iterable(p._nums for p in operands), object, len(nums))
+    out = packed[row_term[row]] + packed[col_term[first]]
+    return dict(zip(out.tolist(), sums.tolist()))
+
+
 class Terms(Mapping):
     """Read-only view of a polynomial's terms: exponent tuple -> Fraction."""
 
@@ -178,7 +343,7 @@ class Polynomial:
     instances may be shared freely.
     """
 
-    __slots__ = ("n", "_nums", "_den")
+    __slots__ = ("n", "_nums", "_den", "_arrays")
 
     def __init__(self, n: int, terms: Mapping[Monomial, Scalar] | None = None):
         layout = _layout(n)
@@ -272,31 +437,25 @@ class Polynomial:
         at the end, so a long sum of products builds no partial sums.
         """
         factors = []
+        term_pairs = 0
         for p, q in pairs:
             if p.n != n or q.n != n:
                 raise UniverseError(f"universe mismatch: N={n} vs N={p.n}, N={q.n}")
             if p._nums and q._nums:
+                size_p, size_q = len(p._nums), len(q._nums)
+                if size_p > size_q:
+                    p, q = q, p
                 factors.append((p, q))
+                term_pairs += size_p * size_q
         den = lcm(*(p._den * q._den for p, q in factors))
-        out: dict[int, int] = {}
-        get = out.get
-        for p, q in factors:
-            small, large = p._nums, q._nums
-            if len(small) > len(large):
-                small, large = large, small
-            f = den // (p._den * q._den)
-            terms = large.items()
-            for m1, c1 in small.items():
-                c1 *= f
-                for m2, c2 in terms:
-                    m = m1 + m2
-                    out[m] = get(m, 0) + c1 * c2
-        # each field summed two exponents below 2**15, so nothing carried;
-        # a set guard bit means an exponent reached the limit
-        if reduce(or_, out, 0) & _layout(n).guard:
-            raise ExponentError(f"product has an exponent at or above {EXPONENT_LIMIT}")
-        if 0 in out.values():  # some sums of term products cancelled exactly
-            out = {m: c for m, c in out.items() if c}
+        # the kernel choice of the module docstring
+        vector = _VECTOR_KERNEL
+        if vector is None and term_pairs >= _VECTOR_MIN_PAIRS:
+            terms = sum(len(p._nums) + len(q._nums) for p, q in factors)
+            vector = term_pairs >= _VECTOR_MIN_PAIRS + _VECTOR_PAIRS_PER_TERM * terms
+        out = _dot_vector(n, factors, den, term_pairs) if factors and vector else None
+        if out is None:
+            out = _dot_loop(n, factors, den)
         return _make(n, out, den)
 
     def __rmul__(self, other) -> "Polynomial":

@@ -96,14 +96,41 @@ class SymmetryCandidate:
 
     @classmethod
     def from_json_obj(cls, obj) -> "SymmetryCandidate":
-        psi = obj["psi"]
+        """A candidate from {[N,] [tau,] phi, psi}: tau is an array of term
+        objects, phi and psi are arrays of such arrays."""
+        psi = _json_term_arrays(obj, "psi")
         n = obj.get("N", len(psi))
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"N must be a JSON integer, got {json.dumps(n, default=repr)}")
-        tau = Polynomial.from_json_terms(n, obj.get("tau", []))
-        phi = tuple(Polynomial.from_json_terms(n, item) for item in obj["phi"])
-        psi_polys = tuple(Polynomial.from_json_terms(n, item) for item in psi)
-        return cls(n, tau, phi, psi_polys)
+        tau = _json_terms(obj.get("tau", []), "'tau'")
+        phi = _json_term_arrays(obj, "phi")
+        return cls(
+            n,
+            Polynomial.from_json_terms(n, tau),
+            tuple(Polynomial.from_json_terms(n, item) for item in phi),
+            tuple(Polynomial.from_json_terms(n, item) for item in psi),
+        )
+
+
+def _json_terms(value, where: str) -> list:
+    """value, which must be a JSON array of term objects; `where` names it in the error."""
+    if not isinstance(value, list) or not all(isinstance(term, dict) for term in value):
+        raise ValueError(
+            f"{where} must be a JSON array of term objects, got {json.dumps(value, default=repr)}"
+        )
+    return value
+
+
+def _json_term_arrays(obj, key: str) -> list:
+    """obj[key], which must be a JSON array of arrays of term objects."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ValueError(
+            f"{key!r} must be a JSON array of term arrays, got {json.dumps(value, default=repr)}"
+        )
+    for i, item in enumerate(value):
+        _json_terms(item, f"{key}[{i}]")
+    return value
 
 
 def total_derivative(f: Polynomial) -> Polynomial:

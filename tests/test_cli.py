@@ -282,6 +282,28 @@ def test_simulate_bool_entry_exits_two(capsys, tmp_path, payload, word):
     assert err == f"error: bad initial data: entries must be numbers, got {word}\n"
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"a": 0.5, "b": [0.1, -0.1]}, "'a' must be a JSON array, got 0.5"),
+        ({"a": None, "b": [0.1, -0.1]}, "'a' must be a JSON array, got null"),
+        ({"a": [0.5], "b": {"x": 1}}, """'b' must be a JSON array, got {"x": 1}"""),
+        ({"a": [0.5], "b": "0.1"}, "'b' must be a JSON array, got \"0.1\""),
+        ({"q": 0.0, "p": [0.0]}, "'q' must be a JSON array, got 0.0"),
+        ({"q": [0.0, 0.0], "p": {"x": 0}}, """'p' must be a JSON array, got {"x": 0}"""),
+    ],
+    ids=["number-a", "null-a", "object-b", "string-b", "number-q", "object-p"],
+)
+def test_simulate_non_array_exits_two(capsys, tmp_path, payload, message):
+    # iterating a number or null failed with an internal message; an object
+    # or a string was read entry by entry
+    init = write_init(tmp_path, payload)
+    code, out, err = run_cli(capsys, ["simulate", init])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad initial data: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "symcheck"])
 @pytest.mark.parametrize(
     "payload", [[1, 2], "x", 3.5, None], ids=["array", "string", "number", "null"]
@@ -683,6 +705,38 @@ def test_symcheck_missing_key_exits_two(capsys, tmp_path, payload, key):
     assert code == 2
     assert out == ""
     assert err == f"error: bad candidate: missing key '{key}'\n"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ('"phi": [[]], "psi": 5', "'psi' must be a JSON array of term arrays, got 5"),
+        ('"phi": [[]], "psi": [5, []]', "psi[0] must be a JSON array of term objects, got 5"),
+        (
+            '"tau": 5, "phi": [[]], "psi": [[], []]',
+            "'tau' must be a JSON array of term objects, got 5",
+        ),
+        ('"phi": [[5]], "psi": [[], []]', "phi[0] must be a JSON array of term objects, got [5]"),
+        (
+            '"phi": {"x": []}, "psi": [[], []]',
+            """'phi' must be a JSON array of term arrays, got {"x": []}""",
+        ),
+        (
+            '"phi": [["x"]], "psi": [[], []]',
+            """phi[0] must be a JSON array of term objects, got ["x"]""",
+        ),
+    ],
+    ids=["number-psi", "number-entry", "number-tau", "number-term", "object-phi", "string-term"],
+)
+def test_symcheck_bad_shape_exits_two(capsys, tmp_path, fields, message):
+    # each shape used to fail with an internal message about len, iteration
+    # or subscripts
+    path = tmp_path / "cand.json"
+    path.write_text("{%s}" % fields)
+    code, out, err = run_cli(capsys, ["symcheck", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad candidate: {message}\n"
 
 
 @pytest.mark.parametrize("size", ["2.0", "true"], ids=["float", "bool"])

@@ -19,6 +19,7 @@ from todasym.poisson import (
     poisson_bracket,
     schouten_self,
 )
+from todasym import ratpoly
 from todasym.ratpoly import Polynomial, Vars
 from algebra_helpers import is_homogeneous, total_degree
 from lattice_helpers import toda_rhs
@@ -271,6 +272,32 @@ def test_schouten_certificates():
     for n in (2, 3):
         for k in (1, 2, 3):
             assert schouten_self(poisson_tensor(k, n)).is_zero()
+
+
+def test_schouten_certifies_w6_at_five_sites():
+    # the heaviest cell of the deep grid, past the verify suites' w_{nmax-1}
+    assert schouten_self(poisson_tensor(6, 5)).is_zero()
+
+
+def test_x8_at_five_sites_same_under_both_kernels(monkeypatch):
+    # X_8 at N=5 (5,051 terms) rebuilt up X_k = [X_1, X_{k-1}] / (k - 2),
+    # once with dot's vectorised kernel forced off and once forced on
+    n = 5
+
+    def terms_in_order(field):
+        return [(c._den, list(c._nums.items())) for c in field.components()]
+
+    builds = []
+    for vector in (False, True):
+        monkeypatch.setattr(ratpoly, "_VECTOR_KERNEL", vector)
+        x = master_field(2, n)
+        for k in range(3, 9):
+            x = master_field(1, n).bracket(x) / (k - 2)
+        builds.append(terms_in_order(x))
+    monkeypatch.undo()
+    assert builds[0] == builds[1]
+    assert builds[0] == terms_in_order(master_field(8, n))
+    assert sum(len(c.terms) for c in master_field(8, n).components()) == 5051
 
 
 def test_involution_under_all_tensors():
