@@ -143,6 +143,11 @@ PINNED_STDOUT = [
         "9ee91a23fad6fe62b6f0c4687229e6ae7a2df382be33ed3f25c11a841e0567ba",
     ),
     (
+        # large N, where the kept partial derivatives are reused the most
+        ["verify", "--n", "16", "--nmax", "4", "--json"],
+        "b24d59be76eee5f3a199a50b33c3b265c1ede4b8cd823ee493e33a8406bc2c22",
+    ),
+    (
         ["hierarchy", "--n", "4", "--nmax", "4"],
         "178fb76dc488541965384eee8056894b898e47e040b8557511a11b12c38d10fd",
     ),
@@ -150,7 +155,9 @@ PINNED_STDOUT = [
 
 
 @pytest.mark.parametrize(
-    "argv, digest", PINNED_STDOUT, ids=["verify", "verify-nmax6", "verify-n2to8", "hierarchy"]
+    "argv, digest",
+    PINNED_STDOUT,
+    ids=["verify", "verify-nmax6", "verify-n2to8", "verify-n16", "hierarchy"],
 )
 def test_report_bytes_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, argv)
