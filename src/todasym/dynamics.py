@@ -5,13 +5,19 @@ Runge-Kutta stepper (trajectories of interest are short and smooth, and a
 fixed step keeps drift assertions deterministic), LAPACK's symmetric
 tridiagonal eigensolver for spectra, and finite differences to measure how
 well a perturbed trajectory still satisfies the equations.  The stepper
-allocates its buffers once per run (stage point, k1..k4, weighted sum and
-the stored rows), binds its four stage right-hand sides to them, and
-writes every velocity, stage and update into them with ``out=`` ufuncs in
-the allocating loop's order, so the states keep its bits.  The Toda
-velocity is the in-place ``lattice.toda_velocity``, which leaves the
-b-block halved; the b-block's stage and update weights are doubled
-instead, and doubling is exact.  A spectrum is one call of LAPACK
+allocates its buffers once per run (two stage points, k1..k4 in one block,
+the weighted sum and the stored rows), binds its four stage right-hand
+sides to them, and writes every velocity, stage and update into them with
+``out=`` ufuncs in the allocating loop's order, so the states keep its
+bits.  A stage point is laid out [a | spare | b | 0 | a^2 | 0], so the Toda
+velocity, the in-place ``lattice.toda_velocity``, is three numpy calls; it
+leaves the b-block halved and -b_N in the spare slot.  The b-block's stage
+and update weights are doubled instead, and doubling is exact; the spare
+slot's weight is 0.  k2 and k3 are doubled in place after their last stage
+use, and the weighted sum is one reduction over the four rows of k, in the
+order ((k1 + 2 k2) + 2 k3) + k4.  The sample times are one vector
+expression built before the first step, and each stored row is written in
+the public [a | b] layout.  A spectrum is one call of LAPACK
 ``dstevd``, the routine scipy's ``eigh_tridiagonal`` picks for eigenvalues
 only, without that wrapper's per-call checks; scipy is imported at the
 first spectrum, so ``verify``, ``symcheck``, ``hierarchy`` and the probe
@@ -30,8 +36,9 @@ call on the transposed sample arrays.
 
 The symmetry map probe runs on one grid, length 1 from z0.time at step 5e-4
 with every 5th state sampled, and tests many candidates and eps values on
-one base trajectory; so its base run (the strided Toda trajectory and its
-baseline residuals) is memoised on z0, its entries and start time.
+one base trajectory; so its base run (the strided Toda trajectory, checked
+once for a uniform grid, its baseline residuals and their maximum) is
+memoised on z0, its entries and start time.
 ``integrate`` is deterministic, so a cache hit returns the very arrays a
 fresh run would.  The cache holds 8 runs, enough for the six initial points
 that a probe interleaves (one z0 is the common case); each run is a few
@@ -136,30 +143,42 @@ def integrate(z0: PhasePoint, t_end: float, dt: float, *, store_stride: int = 1)
     started positive lose positivity (dt is too coarse).  When t_end / dt
     is not whole within a relative 1e-9, a shortened last step ends exactly
     at z0.time + t_end.  Every store_stride-th state (store_stride >= 1) and
-    the final state are stored, into arrays sized before the first step.
-    The four stage right-hand sides are bound to the run's buffers before
-    the first step.
+    the final state are stored.  The sample times and the Trajectory that
+    holds them are built before the first step, so a start time too large
+    for the samples to increase is refused before any work; the rows are
+    then written in place, and the four stage right-hand sides are bound
+    to the run's buffers (see ``_toda_stages``).
     """
     steps, short = _step_count(t_end, dt)
     if store_stride < 1:
         raise ValueError(f"store_stride must be >= 1, got {store_stride}")
     n = z0.n
+    marks = np.append(np.arange(0, steps, store_stride), steps)  # the steps stored
+    times = z0.time + marks * dt
+    times[0] = z0.time
+    if short:
+        times[-1] = z0.time + t_end
+    traj = Trajectory(n, times, np.empty((marks.size, 2 * n - 1)))
+    store_a, store_b = traj.states[:, : n - 1], traj.states[:, n - 1 :]
+    store_a[0], store_b[0] = z0.a, z0.b
     positive_a = all(ai > 0 for ai in z0.a)
-    x = z0.state()
-    y, acc, *k = np.empty((6, x.size))  # stage point (later 2 k3), weighted sum, k1..k4
-    rhs1, rhs2, rhs3, rhs4 = _toda_stages(n, (x, y, y, y), k)
-    scale = np.ones(x.size)  # per component: the stage and update weights in units of h
-    scale[n - 1 :] = 2.0  # the Toda stages leave the b-block of k halved
-    k1, k2, k3, k4 = k
-    rows = 1 + steps // store_stride + (steps % store_stride > 0)
-    times, states = np.empty(rows), np.empty((rows, x.size))
-    times[0], states[0] = z0.time, x
-    row = 1
-    a = x[: n - 1]
-    zero = np.zeros(x.size)  # x . 0 is nan exactly when an entry of x is inf or nan
+    m = 2 * n  # the state in the stage layout: a, the spare slot, b
+    x, y = np.zeros((2, 3 * n + 1))  # stage points, laid out as in _toda_stages
+    x[: n - 1], x[n:m] = z0.a, z0.b
+    ks = np.empty((4, m))  # k1..k4, one contiguous block for the weighted sum
+    rhs1, rhs2, rhs3, rhs4 = _toda_stages(n, (x, y, y, y), ks)
+    k1, k2, k3, k4 = ks
+    xs, ys, acc = x[:m], y[:m], np.empty(m)
+    a, b = x[: n - 1], x[n:m]
+    scale = np.ones(m)  # per component: the stage and update weights in units of h
+    scale[n - 1] = 0.0  # the spare slot stays 0
+    scale[n:] = 2.0  # the Toda stages leave the b-block of k halved
+    zero = np.zeros(m)  # xs . 0 is nan exactly when an entry of xs is inf or nan
     least = np.minimum.reduce  # a.min() without its Python-level wrapper
+    weigh = np.add.reduce
     h = dt
     half, whole, sixth = (scale * c for c in (0.5 * h, h, h / 6.0))
+    row = 1
     # an overflowing run is reported by the finiteness check below, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
@@ -168,50 +187,53 @@ def integrate(z0: PhasePoint, t_end: float, dt: float, *, store_stride: int = 1)
                 h = t_end - (step - 1) * dt
                 half, whole, sixth = (scale * c for c in (0.5 * h, h, h / 6.0))
             rhs1()
-            np.add(x, np.multiply(k1, half, out=y), out=y)
+            np.add(xs, np.multiply(k1, half, out=ys), out=ys)
             rhs2()
-            np.add(x, np.multiply(k2, half, out=y), out=y)
+            np.add(xs, np.multiply(k2, half, out=ys), out=ys)
             rhs3()
-            np.add(x, np.multiply(k3, whole, out=y), out=y)
+            np.add(k2, k2, out=k2)  # 2 k2, exactly
+            np.add(xs, np.multiply(k3, whole, out=ys), out=ys)
             rhs4()
-            np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
-            np.add(acc, np.multiply(k3, 2.0, out=y), out=acc)
-            np.add(acc, k4, out=acc)
-            np.add(x, np.multiply(acc, sixth, out=acc), out=x)
-            t = z0.time + (t_end if last else step * dt)
-            if not math.isfinite(x.dot(zero)):
-                raise RuntimeError(f"non-finite state at t={t:.6g} (step {step}); reduce dt")
-            if positive_a and least(a) <= 0.0:
+            np.add(k3, k3, out=k3)
+            weigh(ks, 0, None, acc)  # ((k1 + 2 k2) + 2 k3) + k4, row by row
+            np.add(xs, np.multiply(acc, sixth, out=acc), out=xs)
+            nonfinite = not math.isfinite(xs.dot(zero))
+            if nonfinite or (positive_a and least(a) <= 0.0):
+                t = z0.time + (t_end if last else step * dt)
+                if nonfinite:
+                    raise RuntimeError(f"non-finite state at t={t:.6g} (step {step}); reduce dt")
                 raise RuntimeError(
                     f"off-diagonal entry crossed zero at t={t:.6g} (step {step}); "
                     "dt is too large for this trajectory"
                 )
             if step % store_stride == 0 or step == steps:
-                times[row], states[row] = t, x
+                store_a[row], store_b[row] = a, b
                 row += 1
-    return Trajectory(n, times, states)
+    return traj
 
 
-def _toda_stages(n: int, points: tuple, k: list[np.ndarray]) -> list:
+def _toda_stages(n: int, points: tuple, ks: np.ndarray) -> list:
     """The four Toda stage right-hand sides: toda_velocity on fixed views.
 
-    Stage i reads points[i] and writes k[i] with its b-block halved.  The
-    kernel is read from this module's namespace once per run, so a wrapped
-    or patched toda_velocity is the one called, four times per step.
+    Each stage point is one buffer of 3N + 1 entries laid out as
+    [a | spare | b | 0 | a^2 | 0], and each k_i one row of 2N entries laid
+    out as [a | spare | b].  Stage i reads points[i] and writes ks[i] with
+    its b-block halved and -b_N in the spare slot; the caller gives that
+    slot weight 0, so the state's spare slot stays 0.  The kernel is read
+    from this module's namespace once per run, so a wrapped or patched
+    toda_velocity is the one called, four times per step.
     """
     kernel = toda_velocity
-    pad = np.zeros(n + 1)
-    squares = (pad[1:-1], pad[1:], pad[:-1])
     stages = []
-    for p, ki in zip(points, k):
-        b = p[n - 1 :]
-        args = (p[: n - 1], b[1:], b[:-1], ki[: n - 1], ki[n - 1 :], *squares)
+    for p, k in zip(points, ks):
+        tail = p[n:]  # b, 0, a^2, 0
+        args = (p[: n - 1], p[2 * n + 1 : 3 * n], tail[1:], tail[:-1], k, k[: n - 1])
         stages.append(partial(kernel, *args))
     return stages
 
 
-# integrate takes 18-36 us per step (about 3e4-5e4 steps/s) on one core of a
-# shared 2-core host (N = 4..128), so 1e7 steps is minutes of work.  The
+# integrate takes 13-15 us per step (about 7e4 steps/s) on one core of a
+# shared 2-core Xeon host (N = 4..122), so 1e7 steps is minutes of work.  The
 # stored rows are one array sized before the first step: at store_stride 1
 # that is 8 (2N - 1) bytes per step, 20 GB for 1e7 steps at N = 128.  A
 # larger count is refused before any step runs; the longest run any caller,
@@ -356,7 +378,7 @@ def symmetry_map_test(cand: SymmetryCandidate, z0: PhasePoint, eps: float) -> Sy
         raise ValueError("the map test applies to evolutionary candidates (tau = 0)")
     if cand.n != z0.n:
         raise ValueError(f"the candidate has N={cand.n} but z0 has N={z0.n}")
-    traj, baseline = _base_run(z0)
+    traj, baseline, baseline_residual = _base_run(z0)
     shifts = _shifts(cand, z0, traj)
     perturbed = _grid_residuals(traj.n, traj.times, traj.states + eps * shifts)
     return SymmetryMapResult(
@@ -365,18 +387,21 @@ def symmetry_map_test(cand: SymmetryCandidate, z0: PhasePoint, eps: float) -> Sy
         dt=_PROBE_DT,
         defect=float(np.max(np.abs(perturbed - baseline))),
         raw_residual=float(np.max(np.abs(perturbed))),
-        baseline_residual=float(np.max(np.abs(baseline))),
+        baseline_residual=baseline_residual,
     )
 
 
 @lru_cache(maxsize=8)
-def _base_run(z0: PhasePoint) -> tuple[Trajectory, np.ndarray]:
-    """The strided Toda trajectory from z0 and its residuals, all read-only."""
+def _base_run(z0: PhasePoint) -> tuple[Trajectory, np.ndarray, float]:
+    """The strided Toda trajectory from z0, its residuals (all read-only) and their max."""
     traj = integrate(z0, _PROBE_T_END, _PROBE_DT, store_stride=_PROBE_STRIDE)
+    h = np.diff(traj.times)
+    if not np.allclose(h, h[0]):
+        raise ValueError("residual grid must be uniform")
     baseline = _grid_residuals(traj.n, traj.times, traj.states)
     for array in (traj.times, traj.states, baseline):
         array.flags.writeable = False
-    return traj, baseline
+    return traj, baseline, float(np.max(np.abs(baseline)))
 
 
 # (id(cand), z0) -> (cand, shifts), least recently used first; see the module docstring
@@ -399,11 +424,11 @@ def _shifts(cand: SymmetryCandidate, z0: PhasePoint, traj: Trajectory) -> np.nda
 
 
 def _grid_residuals(n: int, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Central-difference equation residuals, one row per interior sample."""
-    h = times[1:] - times[:-1]
-    if not np.allclose(h, h[0]):
-        raise ValueError("residual grid must be uniform")
+    """Central-difference equation residuals, one row per interior sample.
+
+    The step is times[1] - times[0]; the caller has checked that the grid is uniform.
+    """
     mid = states[1:-1].T
-    xdot = ((states[2:] - states[:-2]) / (2.0 * h[0])).T
+    xdot = ((states[2:] - states[:-2]) / (2.0 * (times[1] - times[0]))).T
     gammas, deltas = flow_residuals(mid[: n - 1], mid[n - 1 :], xdot[: n - 1], xdot[n - 1 :])
     return np.array(gammas + deltas).T

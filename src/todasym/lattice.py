@@ -172,17 +172,20 @@ def hamiltonian(m: int, n: int) -> Polynomial:
     return trace / m
 
 
-def toda_velocity(a, b_next, b_prev, da, half_db, sq, sq_next, sq_prev) -> None:
-    """Toda right-hand side, its b-block halved, from views built once per run.
+def toda_velocity(a, sq, ahead, behind, k, da) -> None:
+    """Toda right-hand side, its b-block halved, in the stepper's stage layout.
 
-    a (N-1,) with b_next = b[1:] and b_prev = b[:-1]; da (N-1,) receives
-    a_i (b_{i+1} - b_i) and half_db (N,) receives a_i^2 - a_{i-1}^2, which is
-    db_i/dt / 2 exactly (the caller doubles it).  sq, sq_next and sq_prev are
-    pad[1:-1], pad[1:] and pad[:-1] of one (N+1,) buffer whose ends stay 0.
+    The stage point p is one buffer [a | spare | b | 0 | a^2 | 0] of 3N + 1
+    entries: a = p[:N-1] and sq = p[2N+1:3N] (receives a_i^2), and ahead
+    and behind are p[N+1:] and p[N:3N], so that ahead - behind is
+    [b_{i+1} - b_i | -b_N | a_i^2 - a_{i-1}^2] with a_0 = a_N = 0.  That
+    difference is written to k (2N,), whose first N-1 entries da are then
+    multiplied by a: k is [da/dt | -b_N | db/dt / 2], exactly (the caller
+    doubles the b-block and gives the spare slot weight 0).
     """
-    np.multiply(a, np.subtract(b_next, b_prev, out=da), out=da)
     np.multiply(a, a, out=sq)
-    np.subtract(sq_next, sq_prev, out=half_db)
+    np.subtract(ahead, behind, out=k)
+    np.multiply(a, da, out=da)
 
 
 def flow_residuals(a, b, adot, bdot) -> tuple[list, list]:

@@ -109,12 +109,22 @@ class PoissonTensor:
             raise UniverseError(f"universe mismatch: N={self.n} vs N={other.n}")
 
     def to_json_obj(self) -> dict:
-        """Dense form: the full (2N-1)x(2N-1) matrix, both triangles."""
+        """Dense form: the full (2N-1)x(2N-1) matrix, both triangles.
+
+        A lower entry is its upper mirror's terms, in the same order, with
+        every coefficient's sign flipped.
+        """
         dim = self.dim()
-        return {
-            "N": self.n,
-            "matrix": [[self.entry(i, j).to_json_terms() for j in range(dim)] for i in range(dim)],
-        }
+        matrix = [[[] for _ in range(dim)] for _ in range(dim)]
+        for (i, j), poly in self.upper.items():
+            terms = matrix[i][j] = poly.to_json_terms()
+            matrix[j][i] = [{"coeff": _negated(t["coeff"]), "exps": dict(t["exps"])} for t in terms]
+        return {"N": self.n, "matrix": matrix}
+
+
+def _negated(coeff: str) -> str:
+    """The JSON coefficient string of -c, for a nonzero c."""
+    return coeff[1:] if coeff[0] == "-" else "-" + coeff
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 import random
 
 import numpy as np
@@ -200,18 +201,23 @@ def assert_same_bits(fast: Trajectory, slow: Trajectory):
 
 @pytest.mark.parametrize("n", [2, 3, 8, 33])
 def test_toda_kernel_matches_allocating_reference(np_rng, n):
-    # the kernel leaves the b-block halved: doubled, it is the reference's db
+    # the stage point is [a | spare | b | 0 | a^2 | 0]; k is [da | -b_N | db / 2],
+    # and its doubled b-block is the reference's db
     a = np_rng.uniform(-1.0, 1.0, size=n - 1)
     b = np_rng.uniform(-1.0, 1.0, size=n)
-    da, half_db, pad = np.full(n - 1, np.nan), np.full(n, np.nan), np.zeros(n + 1)
-    toda_velocity(a, b[1:], b[:-1], da, half_db, pad[1:-1], pad[1:], pad[:-1])
+    p = np.concatenate((a, [np.nan], b, [0.0], np.full(n - 1, np.nan), [0.0]))
+    k = np.full(2 * n, np.nan)
+    toda_velocity(p[: n - 1], p[2 * n + 1 : 3 * n], p[n + 1 :], p[n : 3 * n], k, k[: n - 1])
     ref_da, ref_db = ref.toda_velocity(a, b)
-    assert da.tobytes() == ref_da.tobytes() and (2 * half_db).tobytes() == ref_db.tobytes()
-    assert pad[0] == pad[-1] == 0.0
+    assert k[: n - 1].tobytes() == ref_da.tobytes()
+    assert (2 * k[n:]).tobytes() == ref_db.tobytes()
+    assert k[n - 1] == -b[-1]
+    assert p[2 * n + 1 : 3 * n].tobytes() == (a * a).tobytes()
+    assert p[2 * n] == p[3 * n] == 0.0 and np.isnan(p[n - 1])  # the spare slot is not read
 
 
 @pytest.mark.parametrize("stride", [1, 7])
-@pytest.mark.parametrize("n", [2, 3, 8, 33])
+@pytest.mark.parametrize("n", [2, 3, 8, 33, 128])
 def test_integrate_matches_allocating_reference(np_rng, n, stride):
     # 50 steps: at stride 7 the final state is stored off the stride
     z0 = random_point(np_rng, n)
@@ -229,6 +235,29 @@ def test_integrate_matches_reference_short_step_and_start_time(np_rng, stride):
     assert_same_bits(fast, ref.integrate(z0, 1.0, 0.03, store_stride=stride))
 
 
+@pytest.mark.parametrize("n, start", [(3, -0.0), (6, 0.5), (33, 2.25)])
+def test_integrate_matches_reference_on_the_probe_grid(np_rng, n, start):
+    # length 1 at dt = 5e-4 (2,000 steps), every 5th state stored; the first
+    # sample time is z0.time itself, so a start of -0.0 keeps its sign bit
+    point = random_point(np_rng, n)
+    z0 = PhasePoint(point.a, point.b, start)
+    fast = integrate(z0, 1.0, 5e-4, store_stride=5)
+    assert len(fast.times) == 401
+    assert_same_bits(fast, ref.integrate(z0, 1.0, 5e-4, store_stride=5))
+
+
+def test_start_time_without_increasing_samples_is_refused_before_the_first_step(monkeypatch):
+    # at t = 1e20 a float spacing is 16384, so every sample time is 1e20
+    calls = []
+    monkeypatch.setattr(dynamics, "toda_velocity", lambda *args: calls.append(args))
+    z0 = PhasePoint((0.5,), (0.0, 0.0), 1e20)
+    with pytest.raises(ValueError, match="^sample times must be strictly increasing$"):
+        integrate(z0, 1.0, 1e-3)
+    assert calls == []
+
+
+MAX_FLOAT = sys.float_info.max
+
 ABORTS = [
     (PhasePoint((1.6, 1.9), (1.9, -1.7, -0.4)), 20.0, 0.55, "crossed zero"),
     # the coarse, unstable run of test_nonfinite_abort: it overflows at step 6
@@ -237,6 +266,9 @@ ABORTS = [
     # 2 a_1^2, and the run must still abort where the full velocity does
     (PhasePoint((9.6e153,), (0.0, 0.0)), 1.0, 1e-3, "non-finite"),
     (PhasePoint((1.2e154, 0.5), (0.1, -0.2, 0.0)), 1.0, 1e-3, "non-finite"),
+    # b_3 - 1e297 overflows: b_N is the only non-finite entry of the second
+    # stage point, and the spare slot of k turns inf there
+    (PhasePoint((0.5, 1e150), (-MAX_FLOAT,) * 3), 1.0, 1e-3, "non-finite"),
 ]
 
 
@@ -245,7 +277,7 @@ ABORTS = [
 @pytest.mark.parametrize(
     "z0, t_end, dt, message",
     ABORTS,
-    ids=["crossing", "non-finite", "overflow-9.6e153", "overflow-1.2e154"],
+    ids=["crossing", "non-finite", "overflow-9.6e153", "overflow-1.2e154", "overflow-b_N"],
 )
 def test_integrate_aborts_like_allocating_reference(z0, t_end, dt, message):
     raised = []
@@ -576,7 +608,7 @@ def test_equal_candidate_is_compiled_anew(base_runs, builds):
     symmetry_map_test(cand, z0, 1e-3)
     memoised = symmetry_map_test(copy, z0, 1e-3)
     assert len(builds) == 2
-    traj, _ = base_runs(z0)
+    traj, _, _ = base_runs(z0)
     cached = dynamics._SHIFTS[id(copy), z0][1]
     fresh = CompiledField(copy.as_field())(traj.states, traj.times)
     np.testing.assert_array_equal(cached, fresh)
@@ -635,13 +667,27 @@ def test_base_run_arrays_are_read_only(base_runs):
     z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0))
     cand = build_Y(1, 3)
     symmetry_map_test(cand, z0, 1e-3)
-    traj, baseline = base_runs(z0)
+    traj, baseline, _ = base_runs(z0)
     assert base_runs.cache_info().hits == 1
     held, shifts = dynamics._SHIFTS[id(cand), z0]  # the memoised shifts too
     assert held is cand
     for array in (traj.times, traj.states, baseline, shifts):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
+
+
+def test_probe_hit_computes_only_the_perturbed_residuals(base_runs, monkeypatch):
+    # the base run checks its grid and takes its residuals and their max once
+    calls, checks = [], []
+    real_residuals, real_allclose = dynamics._grid_residuals, np.allclose
+    monkeypatch.setattr(dynamics, "_grid_residuals", lambda *args: calls.append(1) or real_residuals(*args))
+    monkeypatch.setattr(np, "allclose", lambda *args: checks.append(1) or real_allclose(*args))
+    z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0))
+    results = [symmetry_map_test(build_Y(1, 3), z0, eps) for eps in PROBE_EPS]
+    assert len(calls) == 1 + len(PROBE_EPS) and len(checks) == 1
+    _, baseline, baseline_residual = base_runs(z0)
+    assert {r.baseline_residual for r in results} == {float(np.max(np.abs(baseline)))}
+    assert type(baseline_residual) is float
 
 
 def test_aborted_base_run_is_not_cached(base_runs, integrations):

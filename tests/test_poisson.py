@@ -1,5 +1,7 @@
 """Antisymmetric tensors: brackets, Lie derivative, Schouten certificate."""
 
+import json
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -132,14 +134,31 @@ def test_tensor_arithmetic():
 
 
 def test_tensor_json_round_trip():
-    import json
-
     w2 = poisson_tensor(2, 3)
     matrix = json.loads(json.dumps(w2.to_json_obj()))["matrix"]
     dim = w2.dim()
     assert len(matrix) == dim and all(len(row) == dim for row in matrix)
     for i, j in product(range(dim), repeat=2):
         assert Polynomial.from_json_terms(3, matrix[i][j]) == w2.entry(i, j)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_tensor_json_mirrors_equal_negated_entries(n):
+    # each lower entry is emitted from its mirror's JSON, with the signs
+    # flipped: it must equal the negated polynomial's own JSON, term for term
+    for k in range(1, 7):
+        w = poisson_tensor(k, n)
+        dim = w.dim()
+        expected = [[w.entry(i, j).to_json_terms() for j in range(dim)] for i in range(dim)]
+        assert json.dumps(w.to_json_obj()) == json.dumps({"N": n, "matrix": expected})
+
+
+def test_tensor_json_mirrors_fraction_coefficients(rng):
+    w = random_tensor(rng, 3).scale(Fraction(-3, 7))
+    dim = w.dim()
+    expected = [[w.entry(i, j).to_json_terms() for j in range(dim)] for i in range(dim)]
+    assert json.dumps(w.to_json_obj()["matrix"]) == json.dumps(expected)
+    assert any("/" in t["coeff"] for row in expected for entry in row for t in entry)
 
 
 def random_tensor(rng, n):
