@@ -4,8 +4,9 @@
 A generator tau d/dt + sum phi_j d/da_j + sum psi_j d/db_j is an
 infinitesimal symmetry exactly when its determining-equation residuals
 vanish identically.  The catalogue below runs the classics, then the whole
-family Y_k = X_k + t chi_{k+2}, checked two independent ways (prolongation
-residuals and the evolutionary condition dY/dt + [chi_2, Y] = 0).
+family Y_k = X_k + t chi_{k+2}, checked exactly against the prolongation
+residuals; for these tau = 0 generators they are the evolutionary condition
+dY/dt + [chi_2, Y] = 0.
 
 At the end, a numeric cross-check: push a true solution by eps*Y and
 measure how badly the pushed curve fails the equations.  For a symmetry

@@ -631,8 +631,8 @@ class Polynomial:
             for name, e in exps.items():
                 if name not in index:
                     raise ValueError(f"unknown variable {name!r} for lattice size {n}")
-                if not isinstance(e, int) or e <= 0:
-                    raise ValueError(f"exponent for {name!r} must be a positive integer")
+                if isinstance(e, bool) or not isinstance(e, int) or e <= 0:
+                    raise ExponentError(f"exponent for {name!r} must be a positive integer")
                 mono[index[name]] = e
             key = tuple(mono)
             if key in terms:

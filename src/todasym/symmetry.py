@@ -4,33 +4,26 @@ A candidate generator is
 
     v = tau d/dt + sum_j phi_j d/da_j + sum_j psi_j d/db_j
 
-with polynomial coefficients in (a, b, t).  Writing D for the total
-derivative along solutions (d/dt plus the flow chi_2 substituted for all
-dotted variables), first prolongation of v applied to the system residuals
-yields the determining equations
+with polynomial coefficients in (a, b, t).  The Toda equations are
+x' = F(x) with F = chi_2, and the first prolongation of v applied to them
+gives the determining equations
 
-    D(phi_j) - D(tau) a_j (b_{j+1} - b_j) + phi_j (b_j - b_{j+1})
-             + a_j psi_j - a_j psi_{j+1} = 0,            j = 1..N-1,
+    D(xi) - D(tau) F - xi(F) = 0,        xi = (phi, psi),
 
-    D(psi_j) - 2 D(tau) (a_j^2 - a_{j-1}^2)
-             - 4 a_j phi_j + 4 a_{j-1} phi_{j-1} = 0,    j = 1..N,
+where D is the total derivative along solutions (d/dt plus F acting on the
+phase variables) and xi(F) is F differentiated along xi.  A candidate is an
+infinitesimal symmetry exactly when every component is the zero polynomial.
+Since D(xi) - xi(F) = dxi/dt + [F, xi], the condition for an evolutionary
+candidate (tau = 0) is
 
-with the boundary products a_0 phi_0 and a_N phi_N vanishing.  A candidate
-is an infinitesimal symmetry exactly when every residual is the zero
-polynomial.
+    dY/dt + [chi_2, Y] = 0,
 
-For evolutionary candidates (tau = 0) the same condition reads
-
-    dY/dt + [chi_2, Y] = 0
-
-componentwise, where chi_2 is the Toda field itself.  Both routes are
-implemented independently and agree term by term: each gives a VectorField
-(Gamma_j as the a-block, Delta_j as the b-block), and for tau = 0
-determining_residuals(from_field(Y)) == evolutionary_defect(Y).  The main family
+which evolutionary_defect computes; determining_residuals adds the
+-D(tau) F term for the rest.  The main family
 
     Y_k = X_k + t * chi_{k+2},     k >= -1,
 
-passes both, which is verified exactly by verify_theorem.
+passes, which verify_theorem checks exactly.
 """
 
 from __future__ import annotations
@@ -138,43 +131,24 @@ def total_derivative(f: Polynomial) -> Polynomial:
     return f.diff("t") + chi(2, f.n).apply(f)
 
 
+def evolutionary_defect(y: VectorField) -> VectorField:
+    """dY/dt + [chi_2, Y]; the zero field iff Y generates a symmetry."""
+    return y.dt_partial() + chi(2, y.n).bracket(y)
+
+
 def determining_residuals(cand: SymmetryCandidate) -> VectorField:
-    """Exact residuals: Gamma_1..Gamma_{N-1} as the a-block, Delta_1..Delta_N as the b-block."""
-    n = cand.n
-    v = Vars(n)
-    tau_dot = total_derivative(cand.tau)
-    gamma = []
-    for j in range(1, n):
-        phi_j = cand.phi[j - 1]
-        res = (
-            total_derivative(phi_j)
-            - tau_dot * v.a(j) * (v.b(j + 1) - v.b(j))
-            + phi_j * (v.b(j) - v.b(j + 1))
-            + v.a(j) * cand.psi[j - 1]
-            - v.a(j) * cand.psi[j]
-        )
-        gamma.append(res)
-    delta = []
-    for j in range(1, n + 1):
-        psi_j = cand.psi[j - 1]
-        res = total_derivative(psi_j) - 2 * tau_dot * (v.a(j) ** 2 - v.a(j - 1) ** 2)
-        if j <= n - 1:
-            res = res - 4 * v.a(j) * cand.phi[j - 1]
-        if j >= 2:
-            res = res + 4 * v.a(j - 1) * cand.phi[j - 2]
-        delta.append(res)
-    return VectorField(n, tuple(gamma), tuple(delta))
+    """D(xi) - D(tau) F - xi(F) with F = chi_2: Gamma_1..Gamma_{N-1} as the
+    a-block, Delta_1..Delta_N as the b-block."""
+    defect = evolutionary_defect(VectorField(cand.n, cand.phi, cand.psi))
+    if cand.tau.is_zero():
+        return defect
+    return defect - chi(2, cand.n).mul_poly(total_derivative(cand.tau))
 
 
 def residual_slots(residual: VectorField) -> list[tuple[str, Polynomial]]:
     """(gamma_j, Gamma_j) for j = 1..N-1, then (delta_j, Delta_j) for j = 1..N."""
     gammas = [(f"gamma_{j}", p) for j, p in enumerate(residual.a, start=1)]
     return gammas + [(f"delta_{j}", p) for j, p in enumerate(residual.b, start=1)]
-
-
-def evolutionary_defect(y: VectorField) -> VectorField:
-    """dY/dt + [chi_2, Y]; the zero field iff Y generates a symmetry."""
-    return y.dt_partial() + chi(2, y.n).bracket(y)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +202,7 @@ def build_Y(k: int, n: int) -> SymmetryCandidate:
 
 @dataclass(frozen=True)
 class TheoremCase:
-    """Outcome of both symmetry criteria for one Y_k; no witness iff both hold."""
+    """Outcome of the symmetry condition for one Y_k; no witness iff it holds."""
 
     k: int
     n: int
@@ -240,15 +214,12 @@ class TheoremCase:
 
 
 def verify_theorem(k_max: int, n: int) -> list[TheoremCase]:
-    """Check Y_k for k = -1..k_max by both routes, exactly."""
+    """Check Y_k for k = -1..k_max against the determining equations, exactly."""
     if k_max < -1:
         raise ValueError(f"k_max must be >= -1, got {k_max}")
     cases = []
     for k in range(-1, k_max + 1):
-        cand = build_Y(k, n)
-        slots = residual_slots(determining_residuals(cand))
+        slots = residual_slots(determining_residuals(build_Y(k, n)))
         witness = next((f"{label} = {poly}" for label, poly in slots if poly), None)
-        if witness is None and not evolutionary_defect(cand.as_field()).is_zero():
-            witness = "evolutionary defect nonzero"
         cases.append(TheoremCase(k, n, witness))
     return cases

@@ -14,8 +14,9 @@ One rule decides an exact identity: it passes exactly when its residual
 (left side minus right side, a polynomial, field, tensor or matrix) is
 empty, and the witness of a failure is the residual's first nonzero slot
 with that slot's leading term.  ``_check`` applies the rule to every suite
-but two: the theorem suite takes its witness from the determining
-residuals, and the equivalence suite also reports the multiple k.
+but two: the theorem suite takes its witness from the one determining
+residual of each Y_k, with the slots named gamma_j and delta_j, and the
+equivalence suite also reports the multiple k.
 
 ``n_max`` is the one depth of every suite; ``n_max = 4`` is the default
 grid.  Each suite is a function of (sorted sizes, n_max):
@@ -44,6 +45,7 @@ from fractions import Fraction
 from .fields import VectorField
 from .hierarchy import (
     chi,
+    chi_ladder,
     equivalent_mod_chi,
     master_field,
     poisson_tensor,
@@ -279,11 +281,7 @@ def suite_poisson(ns, n_max: int) -> list[CheckResult]:
                 )
             )
         # w_k . grad H_l, built once: the involution and ladder checks only read it
-        fields = {
-            (k, l): hamiltonian_field(poisson_tensor(k, n), hamiltonian(l, n))
-            for k in tensors
-            for l in range(1, n_max + 1)
-        }
+        fields = {(k, l): chi_ladder(l, k, n) for k in tensors for l in range(1, n_max + 1)}
         for k in tensors:
             for m in range(1, n_max + 1):
                 for l in range(m, n_max + 1):

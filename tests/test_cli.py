@@ -803,11 +803,12 @@ def _candidate_with_psi_exponent(tmp_path, exponent):
 
 
 def test_symcheck_bool_exponent_exits_two(capsys, tmp_path):
+    # json reads true as a bool, which Python would otherwise take for the int 1
     path = _candidate_with_psi_exponent(tmp_path, True)
     code, out, err = run_cli(capsys, ["symcheck", path])
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1 and "bad candidate" in err
+    assert err == "error: bad candidate: exponent for 'b1' must be a positive integer\n"
 
 
 def test_symcheck_exponent_limit_exits_two(capsys, tmp_path):

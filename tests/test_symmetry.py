@@ -20,6 +20,7 @@ from todasym.verify import suite_chi_brackets
 from conftest import random_polynomial
 from algebra_helpers import add_candidates, scale_candidate
 from lattice_helpers import toda_rhs
+import reference_symmetry
 
 
 def random_candidate(rng, n, **kw):
@@ -121,17 +122,18 @@ def test_random_candidate_is_not_a_symmetry(rng):
     assert found_nonzero == 5
 
 
-# -- the two symmetry criteria agree ---------------------------------------------------
+# -- the evolutionary condition against the hand-written equations ----------------------
 
 
 def test_routes_agree_for_evolutionary_candidates(rng):
+    # for tau = 0 the hand-written Gamma/Delta equations reduce to dY/dt + [chi_2, Y]
     for n in (2, 3):
         for _ in range(4):
             field = VectorField.from_components(
                 n, [random_polynomial(rng, n, with_t=True) for _ in range(2 * n - 1)]
             )
             cand = SymmetryCandidate.from_field(field)
-            assert determining_residuals(cand) == evolutionary_defect(field)
+            assert reference_symmetry.determining_residuals(cand) == evolutionary_defect(field)
 
 
 # -- the Y_k family ----------------------------------------------------------------------
@@ -184,7 +186,26 @@ def test_theorem_witness_on_failure():
     assert not witness.is_zero()
 
 
+def test_y_minus_one_structure_constant():
+    # index -1 closes with constant -4: [Y_{-1}, Y_m] = (m+1) Y_{m-1} - 4 chi_m
+    for n in (2, 3, 4, 5):
+        y_lower = build_Y(-1, n).as_field()
+        for m in (1, 2, 3, 4):
+            lhs = y_lower.bracket(build_Y(m, n).as_field())
+            rhs = build_Y(m - 1, n).as_field().scale(m + 1) - chi(m, n).scale(4)
+            assert lhs == rhs, (n, m)
+
+
 # -- ladder brackets ------------------------------------------------------------------
+
+
+def test_lowering_field_on_chi_ladder():
+    # [X_{-1}, chi_l] = (l-1) chi_{l-1}: X_{-1} leaves w_1 invariant, so it lowers
+    # chi_l = w_1 . grad H_l as X_{-1}(H_l) = (l-1) H_{l-1} lowers H_l
+    for n in (2, 3, 4, 5):
+        for l in (2, 3, 4, 5):
+            lhs = master_field(-1, n).bracket(chi(l, n))
+            assert lhs == chi(l - 1, n).scale(l - 1), (n, l)
 
 
 def test_bracket_with_zero_chi():

@@ -6,7 +6,8 @@ import pytest
 
 from todasym.fields import VectorField
 from todasym.hierarchy import master_field, poisson_tensor
-from todasym.poisson import PoissonTensor, schouten_self
+from todasym.lattice import hamiltonian
+from todasym.poisson import PoissonTensor, hamiltonian_field, schouten_self
 from todasym.ratpoly import Polynomial, Vars
 from todasym import hierarchy, poisson, verify
 from todasym.verify import EXACT, FAIL, VerifyConfig, _check, _witness, run_verify
@@ -134,6 +135,12 @@ def test_default_grid_catches_every_x2_and_w2_coefficient(monkeypatch, lookup, m
     # the n_max test above; every suite runs at the default depth n_max 4
     n = 3
     real = getattr(verify, lookup)
+    # verify reads w_k . grad H_l through chi_ladder: build it from verify's tensor lookup
+    monkeypatch.setattr(
+        verify,
+        "chi_ladder",
+        lambda l, k, m: hamiltonian_field(verify.poisson_tensor(k, m), hamiltonian(l, m)),
+    )
     config = VerifyConfig(ns=(n,), n_max=4, suites=verify.ALL_SUITES)
     seen, escaped = 0, []
     for label, bad in mutants(n):
