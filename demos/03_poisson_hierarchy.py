@@ -33,8 +33,7 @@ def is_toda_flow(field):
     v = Vars(N)
     a = [v.a(i) for i in range(1, N)]
     b = [v.b(i) for i in range(1, N + 1)]
-    gammas, deltas = flow_residuals(a, b, field.a, field.b)
-    return not any(gammas + deltas)
+    return not any(flow_residuals(a, b, field.a, field.b))
 
 
 print(f"chain size N = {N}")

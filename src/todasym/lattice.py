@@ -11,11 +11,11 @@ under which the equations of motion read
 
 equivalently dL/dt = [B, L] for the symmetric tridiagonal Jacobi matrix L
 (diagonal b, off-diagonal a) and the skew matrix B with +a_i above the
-diagonal.  The equations are written once over any ring, in
-``flow_residuals`` (``toda_velocity`` is the stepper's in-place float
-kernel); the flow as a polynomial field is chi_2 = w_1 . grad H_2.  The
-functions H_m = Tr(L^m)/m are conserved; their exact polynomial forms are
-built here by symbolic powers of L, each stored as its band.
+diagonal.  The equations are written once over any ring, as block
+expressions in ``flow_residuals`` on float or Polynomial object arrays
+(``toda_velocity`` is the stepper's in-place float kernel); the flow as a
+polynomial field is chi_2 = w_1 . grad H_2.  The functions H_m = Tr(L^m)/m
+are conserved; their exact forms are symbolic powers of L, stored as bands.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ratpoly import Polynomial, Vars
+from .ratpoly import Polynomial, Vars, check_json_keys
 
 # read-only rows {column: nonzero entry}, 0-based and in column order
 SymbolicMatrix = tuple[Mapping[int, Polynomial], ...]
@@ -79,9 +79,11 @@ class PhasePoint:
 
     @classmethod
     def from_json_obj(cls, obj) -> "PhasePoint":
-        """A point from {a, b[, t]} or {q, p[, t]}; a, b, q and p must be JSON
-        arrays, and every entry a JSON number."""
-        if "q" in obj or "p" in obj:
+        """A point from {a, b[, t]} or {q, p[, t]}, and no other key; a, b, q
+        and p must be JSON arrays, and every entry a JSON number."""
+        positions = "q" in obj or "p" in obj
+        check_json_keys(obj, ("q", "p", "t") if positions else ("a", "b", "t"))
+        if positions:
             if not ("q" in obj and "p" in obj):
                 raise ValueError("position/momentum input needs both 'q' and 'p'")
             point = flaschka(*(_json_floats(obj, key) for key in "qp"))
@@ -188,24 +190,22 @@ def toda_velocity(a, sq, ahead, behind, k, da) -> None:
     np.multiply(a, da, out=da)
 
 
-def flow_residuals(a, b, adot, bdot) -> tuple[list, list]:
-    """Defects of (adot, bdot) against the Toda equations.
+def flow_residuals(a, b, adot, bdot) -> np.ndarray:
+    """Defects of (adot, bdot) against the Toda equations: Gamma rows, then Delta rows.
 
-    Works elementwise over any ring with +, - and *: floats along a numeric
-    trajectory, Polynomials for exact identity checks.  Returns the Gamma
-    residuals (length N-1) and Delta residuals (length N); both vanish
-    exactly on solutions.
+    Written once on blocks, over any ring with +, - and *: Gamma is
+    adot - a (b_{i+1} - b_i), and Delta is bdot minus 2 a_i^2 on sites 1..N-1
+    plus the same 2 a_i^2 on sites 2..N (subtracted first, then added, as the
+    equations read site by site).  Inputs are float arrays whose trailing axes
+    index samples, or sequences of Polynomials, held as numpy object arrays so
+    that no float enters the exact layer.  The N-1 + N rows, in the state's
+    a-then-b layout, vanish exactly on solutions.
     """
+    a, b, adot, bdot = map(np.asarray, (a, b, adot, bdot))
     n = len(b)
     if len(a) != n - 1 or len(adot) != n - 1 or len(bdot) != n:
         raise ValueError("component counts do not match a single lattice size")
-    gammas = [adot[j] - a[j] * (b[j + 1] - b[j]) for j in range(n - 1)]
-    deltas = []
-    for j in range(n):
-        r = bdot[j]
-        if j <= n - 2:
-            r = r - 2 * (a[j] * a[j])
-        if j >= 1:
-            r = r + 2 * (a[j - 1] * a[j - 1])
-        deltas.append(r)
-    return gammas, deltas
+    two_sq = 2 * (a * a)
+    delta = np.concatenate((bdot[:-1] - two_sq, bdot[-1:]))
+    delta[1:] += two_sq
+    return np.concatenate((adot - a * (b[1:] - b[:-1]), delta))

@@ -135,6 +135,13 @@ class ExponentError(ValueError):
     """An exponent is not an int in [0, EXPONENT_LIMIT), or would leave it."""
 
 
+def check_json_keys(obj: Mapping, allowed: tuple[str, ...]) -> None:
+    """Raise ValueError naming the first key of a JSON object that is not in allowed."""
+    for key in obj:
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r}")
+
+
 @lru_cache(maxsize=None)
 def var_names(n: int) -> tuple[str, ...]:
     """Variable names for lattice size n, in canonical order."""
@@ -622,11 +629,12 @@ class Polynomial:
         width = num_vars(n)
         terms: dict[Monomial, Fraction] = {}
         for item in data:
+            check_json_keys(item, ("coeff", "exps"))
             mono = [0] * width
             exps, coeff = item["exps"], item["coeff"]
             if not isinstance(exps, Mapping):
                 raise ValueError(f"term exponents must be an object, got {exps!r}")
-            if isinstance(coeff, bool):
+            if isinstance(coeff, bool) or not isinstance(coeff, (int, float, str)):
                 raise ValueError(f"term coefficient must be a number or a string, got {coeff!r}")
             for name, e in exps.items():
                 if name not in index:

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 from .fields import VectorField
 from .hierarchy import chi, master_field
-from .ratpoly import Polynomial, Vars
+from .ratpoly import Polynomial, Vars, check_json_keys
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +89,9 @@ class SymmetryCandidate:
 
     @classmethod
     def from_json_obj(cls, obj) -> "SymmetryCandidate":
-        """A candidate from {[N,] [tau,] phi, psi}: tau is an array of term
-        objects, phi and psi are arrays of such arrays."""
+        """A candidate from {[N,] [tau,] phi, psi}, and no other key: tau is an
+        array of term objects, phi and psi are arrays of such arrays."""
+        check_json_keys(obj, ("N", "tau", "phi", "psi"))
         psi = _json_term_arrays(obj, "psi")
         n = obj.get("N", len(psi))
         if isinstance(n, bool) or not isinstance(n, int):

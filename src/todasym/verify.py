@@ -145,7 +145,7 @@ def _flow_defect(field: VectorField) -> VectorField:
     """field minus the Toda flow, componentwise, from flow_residuals' transcription."""
     v = Vars(field.n)
     a, b = [v.a(i) for i in range(1, field.n)], [v.b(i) for i in range(1, field.n + 1)]
-    return VectorField(field.n, *map(tuple, flow_residuals(a, b, field.a, field.b)))
+    return VectorField.from_components(field.n, flow_residuals(a, b, field.a, field.b))
 
 
 def suite_transcription(ns, n_max: int) -> list[CheckResult]:

@@ -4,7 +4,9 @@
 point, ``hamiltonian_value`` evaluates H_m numerically by two independent
 routes, and ``gradient`` is the dense phase-space gradient of a polynomial.
 ``toda_rhs`` is the Toda flow written out by hand as a polynomial field,
-the independent oracle for chi_2 and for ``flow_residuals``;
+the independent oracle for chi_2 and for ``flow_residuals``, and
+``flow_residuals_by_site`` is the per-site loop that ``flow_residuals``
+replaced, the oracle for its block form;
 ``dense_symbolic_lax`` and ``dense_matmul_symbolic`` are the dense N x N
 symbolic Jacobi matrix and product that the band storage of
 ``todasym.lattice`` is checked against.  The tests cross-check the
@@ -75,6 +77,29 @@ def toda_rhs(n: int) -> VectorField:
         (v.a(i) * v.a(i) - v.a(i - 1) * v.a(i - 1)).scale(2) for i in range(1, n + 1)
     )
     return VectorField(n, a_comps, b_comps)
+
+
+def flow_residuals_by_site(a, b, adot, bdot) -> tuple[list, list]:
+    """Defects of (adot, bdot) against the Toda equations, one site at a time.
+
+    Works elementwise over any ring with +, - and *: floats along a numeric
+    trajectory, Polynomials for exact identity checks.  Returns the Gamma
+    residuals (length N-1) and Delta residuals (length N); both vanish
+    exactly on solutions.
+    """
+    n = len(b)
+    if len(a) != n - 1 or len(adot) != n - 1 or len(bdot) != n:
+        raise ValueError("component counts do not match a single lattice size")
+    gammas = [adot[j] - a[j] * (b[j + 1] - b[j]) for j in range(n - 1)]
+    deltas = []
+    for j in range(n):
+        r = bdot[j]
+        if j <= n - 2:
+            r = r - 2 * (a[j] * a[j])
+        if j >= 1:
+            r = r + 2 * (a[j - 1] * a[j - 1])
+        deltas.append(r)
+    return gammas, deltas
 
 
 def dense_symbolic_lax(n: int) -> tuple[tuple[Polynomial, ...], ...]:

@@ -4,11 +4,12 @@
 per component, special-cases empty components and evaluates the components
 one at a time; ``MatrixField`` evaluates one point at a time with one
 exponent matrix and one weight matrix, a row-wise power product and one
-matrix product; ``grid_residuals`` calls ``flow_residuals`` once per interior
-sample; ``spectrum`` and ``row_drift_report`` call scipy's
-``eigh_tridiagonal`` once per point or sampled row, with its own argument
-checks; ``drift_report`` builds a ``PhasePoint`` per sample and takes its
-spectrum with ``spectrum``; ``symmetry_map_test`` takes a base trajectory
+matrix product; ``grid_residuals`` calls the per-site loop
+``lattice_helpers.flow_residuals_by_site`` once per interior sample;
+``spectrum`` and ``row_drift_report`` call scipy's ``eigh_tridiagonal`` once
+per point or sampled row, with its own argument checks; ``drift_report``
+builds a ``PhasePoint`` per sample and takes its spectrum with
+``spectrum``; ``symmetry_map_test`` takes a base trajectory
 integrated afresh by ``base_trajectory``, with no memo, and evaluates the
 shifts one sample at a time; ``integrate`` is the allocating RK4 loop of the
 Toda flow, with a fresh array for every velocity and stage sum and the full
@@ -23,8 +24,9 @@ from scipy.linalg import eigh_tridiagonal
 
 from todasym import dynamics
 from todasym.fields import VectorField
-from todasym.lattice import PhasePoint, flow_residuals
+from todasym.lattice import PhasePoint
 from todasym.symmetry import SymmetryCandidate
+from lattice_helpers import flow_residuals_by_site
 
 
 class CompiledField:
@@ -143,7 +145,7 @@ def grid_residuals(n: int, times: np.ndarray, states: np.ndarray) -> np.ndarray:
     rows = []
     for i in range(xdot.shape[0]):
         mid = states[i + 1]
-        gammas, deltas = flow_residuals(
+        gammas, deltas = flow_residuals_by_site(
             mid[: n - 1], mid[n - 1 :], xdot[i, : n - 1], xdot[i, n - 1 :]
         )
         rows.append(np.concatenate([gammas, deltas]))

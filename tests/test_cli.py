@@ -265,6 +265,24 @@ def test_simulate_missing_key_exits_two(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"a": [0.5], "b": [0.1, -0.1], "T": 3.0}, "T"),
+        ({"q": [0.0, 0.0], "p": [0.0, 0.0], "time": 1.0}, "time"),
+        ({"a": [0.5], "b": [0.1, -0.1], "q": [0.0, 0.0], "p": [0.0, 0.0]}, "a"),
+    ],
+    ids=["capital-t", "qp-time", "both-forms"],
+)
+def test_simulate_unknown_key_exits_two(capsys, tmp_path, payload, key):
+    # an unknown key was dropped: "T" ran from t = 0, and a, b gave way to q, p
+    init = write_init(tmp_path, payload)
+    code, out, err = run_cli(capsys, ["simulate", init])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad initial data: unknown key '{key}'\n"
+
+
+@pytest.mark.parametrize(
     "payload, word",
     [
         ({"a": [True], "b": [0.0, 0.0]}, "true"),
@@ -714,6 +732,29 @@ def test_symcheck_missing_key_exits_two(capsys, tmp_path, payload, key):
     assert err == f"error: bad candidate: missing key '{key}'\n"
 
 
+def test_symcheck_unknown_candidate_key_exits_two(capsys, tmp_path):
+    # with "Tau" dropped, the grading symmetry read as tau = 0 and failed with exit 1
+    payload = candidate_scaling(2).to_json_obj()
+    payload["Tau"] = payload.pop("tau")
+    path = tmp_path / "cand.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, ["symcheck", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad candidate: unknown key 'Tau'\n"
+
+
+def test_symcheck_unknown_term_key_exits_two(capsys, tmp_path):
+    # the extra "exp" was dropped, which read the term as the constant 1
+    path = tmp_path / "cand.json"
+    term = {"coeff": "1", "exps": {}, "exp": {"a1": 1}}
+    path.write_text(json.dumps({"N": 2, "phi": [[term]], "psi": [[], []]}))
+    code, out, err = run_cli(capsys, ["symcheck", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad candidate: unknown key 'exp'\n"
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [
@@ -782,8 +823,14 @@ def test_symcheck_unusable_coefficient_exits_two(capsys, tmp_path, coeff, messag
     [
         ('{"coeff": "1", "exps": []}', "term exponents must be an object, got []"),
         ('{"coeff": true, "exps": {}}', "term coefficient must be a number or a string, got True"),
+        ('{"coeff": [1], "exps": {}}', "term coefficient must be a number or a string, got [1]"),
+        (
+            '{"coeff": {"x": 1}, "exps": {}}',
+            "term coefficient must be a number or a string, got {'x': 1}",
+        ),
+        ('{"coeff": null, "exps": {}}', "term coefficient must be a number or a string, got None"),
     ],
-    ids=["list-exps", "bool-coeff"],
+    ids=["list-exps", "bool-coeff", "array-coeff", "object-coeff", "null-coeff"],
 )
 def test_symcheck_malformed_term_exits_two(capsys, tmp_path, term, message):
     path = tmp_path / "cand.json"

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from todasym.hierarchy import chi
 from todasym.lattice import (
     PhasePoint,
     _lax_power,
@@ -18,9 +19,11 @@ from todasym.lattice import (
 )
 from todasym.ratpoly import Polynomial, Vars
 from algebra_helpers import evaluate, is_homogeneous
+from conftest import random_field
 from lattice_helpers import (
     dense_matmul_symbolic,
     dense_symbolic_lax,
+    flow_residuals_by_site,
     gradient,
     hamiltonian_value,
     jacobi_matrix,
@@ -145,14 +148,13 @@ def test_residuals_vanish_on_flow_symbolically():
         flow = toda_rhs(n)
         a = [v.a(i) for i in range(1, n)]
         b = [v.b(i) for i in range(1, n + 1)]
-        gammas, deltas = flow_residuals(a, b, list(flow.a), list(flow.b))
-        assert all(g.is_zero() for g in gammas)
-        assert all(d.is_zero() for d in deltas)
+        residual = flow_residuals(a, b, list(flow.a), list(flow.b))
+        assert len(residual) == 2 * n - 1
+        assert all(r.is_zero() for r in residual)
 
 
 def test_residuals_at_fixed_point_numeric():
-    gammas, deltas = flow_residuals([0.0], [1.0, -1.0], [0.0], [0.0, 0.0])
-    assert gammas == [0.0] and deltas == [0.0, 0.0]
+    assert flow_residuals([0.0], [1.0, -1.0], [0.0], [0.0, 0.0]).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_residuals_linear_in_perturbation():
@@ -161,8 +163,57 @@ def test_residuals_linear_in_perturbation():
     a = [v.a(1)]
     b = [v.b(1), v.b(2)]
     one = Polynomial.const(2, 1)
-    gammas, _ = flow_residuals(a, b, [flow.a[0] + one], list(flow.b))
-    assert gammas[0] == one
+    residual = flow_residuals(a, b, [flow.a[0] + one], list(flow.b))
+    assert residual[0] == one
+
+
+def _same_floats(block, gammas, deltas):
+    expected = np.array(gammas + deltas)
+    return block.dtype == expected.dtype and block.shape == expected.shape and (
+        block.tobytes() == expected.tobytes()
+    )
+
+
+def test_block_residuals_match_site_loop_on_a_point():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 5):
+        a, adot = rng.uniform(0.1, 1.0, (2, n - 1)).tolist()
+        b, bdot = rng.uniform(-1.0, 1.0, (2, n)).tolist()
+        block = flow_residuals(a, b, adot, bdot)
+        assert _same_floats(block, *flow_residuals_by_site(a, b, adot, bdot))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 16])
+def test_block_residuals_match_site_loop_on_a_grid(n):
+    # the probe's shape: one row per component, 401 samples along the last axis
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1.0, 1.0, (2, 2 * n - 1, 401))
+    args = (x[0, : n - 1], x[0, n - 1 :], x[1, : n - 1], x[1, n - 1 :])
+    assert _same_floats(flow_residuals(*args), *flow_residuals_by_site(*args))
+
+
+def _same_terms(block, gammas, deltas):
+    # equal terms in equal order: no float and no reordering on the exact path
+    expected = gammas + deltas
+    return len(block) == len(expected) and all(
+        isinstance(p, Polynomial) and list(p.terms.items()) == list(q.terms.items())
+        for p, q in zip(block, expected)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_block_residuals_match_site_loop_on_polynomials(rng, n):
+    v = Vars(n)
+    a = [v.a(i) for i in range(1, n)]
+    b = [v.b(i) for i in range(1, n + 1)]
+    fields = [chi(2, n)] + [random_field(rng, n, with_t=True) for _ in range(4)]
+    for field in fields:
+        args = (a, b, field.a, field.b)
+        assert _same_terms(flow_residuals(*args), *flow_residuals_by_site(*args))
+    # polynomial a and b as well: the products and sums keep their term order
+    for left, right in zip(fields[1::2], fields[2::2]):
+        args = (left.a, left.b, right.a, right.b)
+        assert _same_terms(flow_residuals(*args), *flow_residuals_by_site(*args))
 
 
 # -- Lax pair --------------------------------------------------------------------
