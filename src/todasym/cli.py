@@ -227,9 +227,16 @@ def cmd_simulate(args) -> int:
     if args.symmetry is not None and args.symmetry < -1:
         raise BadInput(f"symmetry index must be >= -1, got {args.symmetry}")
     try:
+        # built outside the integrator's handler: a RecursionError is a RuntimeError
+        cand = None if args.symmetry is None else build_Y(args.symmetry, z0.n)
+    except RecursionError:
+        raise BadInput(
+            f"symmetry index {args.symmetry} is too deep to build: X_K recurses once per index"
+        )
+    try:
         traj = integrate(z0, args.tend, args.dt)
-        if args.symmetry is not None:
-            probe = symmetry_map_test(build_Y(args.symmetry, z0.n), z0, args.eps)
+        if cand is not None:
+            probe = symmetry_map_test(cand, z0, args.eps)
     except ValueError as exc:
         raise BadInput(str(exc))
     except RuntimeError as exc:

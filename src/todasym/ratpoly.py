@@ -120,9 +120,7 @@ EXPONENT_LIMIT = 1 << (_BITS - 1)
 # The vectorised kernel of Polynomial.dot keeps every key and every partial
 # sum of numerators below this bound, so int64 arithmetic on them is exact.
 _INT64_BOUND = 1 << 62
-# None chooses dot's kernel by operand size (see the module docstring); True
-# runs the int64 kernel wherever its bounds hold, False never runs it.
-_VECTOR_KERNEL: bool | None = None
+# dot's kernel choice by operand size (see the module docstring)
 _VECTOR_MIN_PAIRS = 800
 _VECTOR_PAIRS_PER_TERM = 2
 
@@ -170,7 +168,8 @@ class _Layout:
     def __init__(self, n: int):
         self.width = num_vars(n)
         self.shifts = tuple(_BITS * (self.width - 1 - i) for i in range(self.width))
-        self.guard = sum(EXPONENT_LIMIT << s for s in self.shifts)
+        # EXPONENT_LIMIT in every field, built from bytes: a sum of shifted ints is O(n^2)
+        self.guard = int.from_bytes(EXPONENT_LIMIT.to_bytes(_BITS // 8, "big") * self.width, "big")
         self._struct = Struct(f">{self.width}H")
         self._nbytes = self._struct.size
 
@@ -485,8 +484,8 @@ class Polynomial:
                 term_pairs += size_p * size_q
         den = lcm(*(p._den * q._den for p, q in factors))
         # the kernel choice of the module docstring
-        vector = _VECTOR_KERNEL
-        if vector is None and term_pairs >= _VECTOR_MIN_PAIRS:
+        vector = False
+        if term_pairs >= _VECTOR_MIN_PAIRS:
             terms = sum(len(p._nums) + len(q._nums) for p, q in factors)
             vector = term_pairs >= _VECTOR_MIN_PAIRS + _VECTOR_PAIRS_PER_TERM * terms
         out = _dot_vector(n, factors, den, term_pairs) if factors and vector else None

@@ -47,11 +47,7 @@ class SymmetryCandidate:
     psi: tuple[Polynomial, ...]
 
     def __post_init__(self):
-        if len(self.phi) != self.n - 1 or len(self.psi) != self.n:
-            raise ValueError(
-                f"expected {self.n - 1} phi and {self.n} psi components, "
-                f"got {len(self.phi)} and {len(self.psi)}"
-            )
+        _check_counts(self.n, self.phi, self.psi)
         for poly in (self.tau, *self.phi, *self.psi):
             if poly.n != self.n:
                 raise ValueError("coefficient universe does not match candidate size")
@@ -98,11 +94,22 @@ class SymmetryCandidate:
             raise ValueError(f"N must be a JSON integer, got {json.dumps(n, default=repr)}")
         tau = _json_terms(obj.get("tau", []), "'tau'")
         phi = _json_term_arrays(obj, "phi")
+        # size and counts first: each polynomial built for a declared N costs O(N)
+        if n < 2:
+            raise ValueError(f"lattice size must be >= 2, got {n}")
+        _check_counts(n, phi, psi)
         return cls(
             n,
             Polynomial.from_json_terms(n, tau),
             tuple(Polynomial.from_json_terms(n, item) for item in phi),
             tuple(Polynomial.from_json_terms(n, item) for item in psi),
+        )
+
+
+def _check_counts(n: int, phi, psi) -> None:
+    if len(phi) != n - 1 or len(psi) != n:
+        raise ValueError(
+            f"expected {n - 1} phi and {n} psi components, got {len(phi)} and {len(psi)}"
         )
 
 

@@ -10,16 +10,22 @@ Statuses: "exact-pass" for an identity holding term by term,
 "pass-mod-equivalence" when equality holds only up to a multiple of a
 ladder field chi_l (the rational multiple k is recorded), "fail" otherwise.
 
-One rule decides an exact identity: it passes exactly when its residual
-(left side minus right side, a polynomial, field, tensor or matrix) is
-empty, and the witness of a failure is the residual's first nonzero slot
-with that slot's leading term.  ``_check`` applies the rule to every suite
-but two: the theorem suite takes its witness from the one determining
-residual of each Y_k, with the slots named gamma_j and delta_j, and the
-equivalence suite also reports the multiple k.
+A suite is a generator ``suite(n, n_max)``: at one lattice size n it
+yields, per check, ``(name, statement, params, residual)``, and the
+equivalence suite adds the multiple k it certified.  The runner owns the
+rest: it runs the chosen suites in ``SUITES`` order over the sorted sizes,
+puts N first in each check's params, names the suite, and builds every
+record through ``_check``, the one rule.  An identity passes exactly when
+its residual (left side minus right side, a polynomial, field, tensor or
+matrix) is empty, and the witness of a failure is the residual's first
+nonzero slot with that slot's leading term.  A pass with a certified k
+other than 0 is a pass modulo equivalence, and a failure reports no k.
+The theorem suite is the one special case of the witness: its residual is
+the ``TheoremCase`` of each Y_k, whose witness is the whole first nonzero
+determining residual, named gamma_j or delta_j.
 
 ``n_max`` is the one depth of every suite; ``n_max = 4`` is the default
-grid.  Each suite is a function of (sorted sizes, n_max):
+grid:
 
     transcription       no depth (n_max is ignored)
     hamiltonian-ladder  X_k(H_m), 0 <= k <= n_max, 1 <= m <= n_max;
@@ -59,7 +65,7 @@ from .poisson import (
     schouten_self,
 )
 from .ratpoly import Polynomial, Vars
-from .symmetry import verify_theorem
+from .symmetry import TheoremCase, verify_theorem
 
 EXACT = "exact-pass"
 MOD_EQUIV = "pass-mod-equivalence"
@@ -95,14 +101,28 @@ class CheckResult:
         return obj
 
 
-def _check(suite: str, name: str, statement: str, params: dict, residual) -> CheckResult:
-    """The record of an exact identity: it passes iff its residual is empty."""
+def _check(suite: str, name: str, statement: str, params: dict, residual, k=None) -> CheckResult:
+    """The record of an exact identity: it passes iff its residual is empty.
+
+    k is the multiple of chi_l an equivalence check certified: a pass with
+    k != 0 is a pass modulo equivalence, and a failure reports no k.
+    """
     witness = _witness(residual)
-    return CheckResult(suite, name, statement, params, EXACT if witness is None else FAIL, witness)
+    if witness is not None:
+        return CheckResult(suite, name, statement, params, FAIL, witness)
+    return CheckResult(
+        suite, name, statement, params, MOD_EQUIV if k else EXACT, k=None if k is None else str(k)
+    )
 
 
 def _witness(residual) -> str | None:
-    """The first nonzero slot of a residual and its leading term; None if empty."""
+    """The first nonzero slot of a residual and its leading term; None if empty.
+
+    The theorem suite's residual is a TheoremCase, which carries its witness:
+    the whole first nonzero determining residual gamma_j or delta_j.
+    """
+    if isinstance(residual, TheoremCase):
+        return residual.witness
     for label, poly in _slots(residual):
         if poly:
             mono, coeff = poly.sorted_terms()[0]
@@ -115,9 +135,7 @@ def _slots(residual):
 
     A residual is a Polynomial, VectorField, PoissonTensor, ThreeTensor or
     a symbolic matrix, whose rows are {column: polynomial} mappings read
-    in column order.  The determining residual of a symmetry candidate is a
-    VectorField too; the theorem suite names its slots gamma_j and delta_j
-    through symmetry.residual_slots.
+    in column order.
     """
     if isinstance(residual, Polynomial):
         yield "", residual
@@ -137,7 +155,7 @@ def _slots(residual):
 
 
 # ---------------------------------------------------------------------------
-# individual suites
+# individual suites: each yields (name, statement, params, residual[, k]) at one N
 # ---------------------------------------------------------------------------
 
 
@@ -148,227 +166,122 @@ def _flow_defect(field: VectorField) -> VectorField:
     return VectorField.from_components(field.n, flow_residuals(a, b, field.a, field.b))
 
 
-def suite_transcription(ns, n_max: int) -> list[CheckResult]:
+def suite_transcription(n: int, n_max: int):
     """Fixed-point checks on the explicit low-order objects."""
-    out = []
-    for n in ns:
-        flow, lax, lax_b = chi(2, n), symbolic_lax(n), symbolic_lax_b(n)
-        zero = Polynomial.zero(n)
-        residual = []
-        for i, (bl, lb) in enumerate(zip(matmul_symbolic(lax_b, lax), matmul_symbolic(lax, lax_b))):
-            # dL/dt on L's band: the flow's b-components on the diagonal, a-components beside it
-            dl = {j: flow.b[i] if i == j else flow.a[min(i, j)] for j in lax[i]}
-            cols = sorted({*bl, *lb, *dl})
-            residual.append({j: bl.get(j, zero) - lb.get(j, zero) - dl.get(j, zero) for j in cols})
-        out.append(
-            _check(
-                "transcription",
-                "lax-commutator",
-                "[B, L] assembles the flow: diagonal 2(a_i^2-a_{i-1}^2), off-diagonal a_i(b_{i+1}-b_i)",
-                {"N": n},
-                residual,
-            )
-        )
-        out.append(
-            _check(
-                "transcription",
-                "chi2-is-flow",
-                "w_1 . grad H_2 equals the Toda right-hand side",
-                {"N": n},
-                _flow_defect(flow),
-            )
-        )
-        out.append(
-            _check("transcription", "H1-casimir", "w_1 . grad H_1 = 0", {"N": n}, chi(1, n))
-        )
-    return out
+    flow, lax, lax_b = chi(2, n), symbolic_lax(n), symbolic_lax_b(n)
+    zero = Polynomial.zero(n)
+    residual = []
+    for i, (bl, lb) in enumerate(zip(matmul_symbolic(lax_b, lax), matmul_symbolic(lax, lax_b))):
+        # dL/dt on L's band: the flow's b-components on the diagonal, a-components beside it
+        dl = {j: flow.b[i] if i == j else flow.a[min(i, j)] for j in lax[i]}
+        cols = sorted({*bl, *lb, *dl})
+        residual.append({j: bl.get(j, zero) - lb.get(j, zero) - dl.get(j, zero) for j in cols})
+    yield (
+        "lax-commutator",
+        "[B, L] assembles the flow: diagonal 2(a_i^2-a_{i-1}^2), off-diagonal a_i(b_{i+1}-b_i)",
+        {},
+        residual,
+    )
+    yield "chi2-is-flow", "w_1 . grad H_2 equals the Toda right-hand side", {}, _flow_defect(flow)
+    yield "H1-casimir", "w_1 . grad H_1 = 0", {}, chi(1, n)
 
 
-def suite_hamiltonian_ladder(ns, n_max: int) -> list[CheckResult]:
+def suite_hamiltonian_ladder(n: int, n_max: int):
     """X_k(H_m) = (k+m) H_{k+m}, plus the lowering field X_{-1}."""
-    out = []
-    for n in ns:
-        for k in range(0, n_max + 1):
-            x = master_field(k, n)
-            for m in range(1, n_max + 1):
-                lhs = x.apply(hamiltonian(m, n))
-                rhs = hamiltonian(k + m, n).scale(k + m)
-                out.append(
-                    _check(
-                        "hamiltonian-ladder",
-                        f"X{k}(H{m})",
-                        "X_k(H_m) = (k+m) H_{k+m}",
-                        {"N": n, "k": k, "m": m},
-                        lhs - rhs,
-                    )
-                )
-        lower = master_field(-1, n)
-        for m in range(2, n_max + 2):
-            diff = lower.apply(hamiltonian(m, n)) - hamiltonian(m - 1, n).scale(m - 1)
-            out.append(
-                _check(
-                    "hamiltonian-ladder",
-                    f"X-1(H{m})",
-                    "X_{-1}(H_m) = (m-1) H_{m-1}",
-                    {"N": n, "m": m},
-                    diff,
-                )
-            )
-        # the m = 1 edge: X_{-1}(H_1) is the constant N, reported as its own fact
-        edge = lower.apply(hamiltonian(1, n)) - Polynomial.const(n, n)
-        out.append(
-            _check(
-                "hamiltonian-ladder",
-                "X-1(H1)",
-                "X_{-1}(H_1) = N (the ladder bottoms out at a constant)",
-                {"N": n},
-                edge,
-            )
-        )
-    return out
+    for k in range(0, n_max + 1):
+        x = master_field(k, n)
+        for m in range(1, n_max + 1):
+            residual = x.apply(hamiltonian(m, n)) - hamiltonian(k + m, n).scale(k + m)
+            yield f"X{k}(H{m})", "X_k(H_m) = (k+m) H_{k+m}", {"k": k, "m": m}, residual
+    lower = master_field(-1, n)
+    for m in range(2, n_max + 2):
+        residual = lower.apply(hamiltonian(m, n)) - hamiltonian(m - 1, n).scale(m - 1)
+        yield f"X-1(H{m})", "X_{-1}(H_m) = (m-1) H_{m-1}", {"m": m}, residual
+    # the m = 1 edge: X_{-1}(H_1) is the constant N, reported as its own fact
+    yield (
+        "X-1(H1)",
+        "X_{-1}(H_1) = N (the ladder bottoms out at a constant)",
+        {},
+        lower.apply(hamiltonian(1, n)) - Polynomial.const(n, n),
+    )
 
 
-def suite_theorem(ns, n_max: int) -> list[CheckResult]:
-    out = []
-    for n in ns:
-        for case in verify_theorem(n_max - 1, n):
-            out.append(
-                CheckResult(
-                    "theorem",
-                    f"Y{case.k}",
-                    "Y_k = X_k + t chi_{k+2} solves the determining equations "
-                    "and dY/dt + [chi_2, Y] = 0",
-                    {"N": n, "k": case.k},
-                    EXACT if case.ok else FAIL,
-                    case.witness,
-                )
-            )
-    return out
+def suite_theorem(n: int, n_max: int):
+    statement = (
+        "Y_k = X_k + t chi_{k+2} solves the determining equations and dY/dt + [chi_2, Y] = 0"
+    )
+    for case in verify_theorem(n_max - 1, n):
+        yield f"Y{case.k}", statement, {"k": case.k}, case
 
 
-def suite_chi_brackets(ns, n_max: int) -> list[CheckResult]:
-    out = []
-    for n in ns:
-        for k in range(0, n_max):
-            for l in range(1, n_max + 1):
-                lhs = master_field(k, n).bracket(chi(l, n))
-                rhs = chi(k + l, n).scale(l - 1)
-                out.append(
-                    _check(
-                        "chi-brackets",
-                        f"[X{k},chi{l}]",
-                        "[X_k, chi_l] = (l-1) chi_{k+l}",
-                        {"N": n, "k": k, "l": l},
-                        lhs - rhs,
-                    )
-                )
-    return out
+def suite_chi_brackets(n: int, n_max: int):
+    for k in range(0, n_max):
+        for l in range(1, n_max + 1):
+            residual = master_field(k, n).bracket(chi(l, n)) - chi(k + l, n).scale(l - 1)
+            yield f"[X{k},chi{l}]", "[X_k, chi_l] = (l-1) chi_{k+l}", {"k": k, "l": l}, residual
 
 
-def suite_poisson(ns, n_max: int) -> list[CheckResult]:
+def suite_poisson(n: int, n_max: int):
     """Jacobi certificates, involution, the chi ladder and tensor scaling."""
-    out = []
     tensors = range(1, n_max)
-    for n in ns:
-        for k in tensors:
-            out.append(
-                _check(
-                    "poisson",
-                    f"schouten-w{k}",
-                    "[w_k, w_k] = 0 (Jacobi identity)",
-                    {"N": n, "k": k},
-                    schouten_self(poisson_tensor(k, n)),
-                )
-            )
-        # w_k . grad H_l, built once: the involution and ladder checks only read it
-        fields = {(k, l): chi_ladder(l, k, n) for k in tensors for l in range(1, n_max + 1)}
-        for k in tensors:
-            for m in range(1, n_max + 1):
-                for l in range(m, n_max + 1):
-                    # {H_m, H_l} = (w_k . grad H_l)(H_m)
-                    out.append(
-                        _check(
-                            "poisson",
-                            f"involution-w{k}-H{m}-H{l}",
-                            "{H_m, H_l} = 0 under w_k",
-                            {"N": n, "k": k, "m": m, "l": l},
-                            fields[k, l].apply(hamiltonian(m, n)),
-                        )
-                    )
-        for k in range(2, n_max):
-            for l in range(1, n_max):
-                out.append(
-                    _check(
-                        "poisson",
-                        f"ladder-w{k}-H{l}",
-                        "w_k . grad H_l = w_{k-1} . grad H_{l+1}",
-                        {"N": n, "k": k, "l": l},
-                        fields[k, l] - fields[k - 1, l + 1],
-                    )
-                )
-        # L_{X_k} w_m = (m-k-2) w_{k+m} at two fixed corners, the same at every
-        # n_max: (k, m) = (1, 1) and (1, 2) define w_2 and w_3, so the informative
-        # cases are the Euler scaling (0, 1) and the off-construction pair (2, 1)
-        w1 = poisson_tensor(1, n)
-        euler = lie_derivative(master_field(0, n), w1) - w1.scale(-1)
-        off = lie_derivative(master_field(2, n), w1) - poisson_tensor(3, n).scale(-3)
-        out += [
-            _check(
-                "poisson",
-                "scaling-X0-w1",
-                "L_{X_0} w_1 = -w_1 (linear entries, Euler grading)",
-                {"N": n},
-                euler,
-            ),
-            _check("poisson", "scaling-X2-w1", "L_{X_2} w_1 = -3 w_3", {"N": n}, off),
-        ]
-    return out
+    for k in tensors:
+        statement = "[w_k, w_k] = 0 (Jacobi identity)"
+        yield f"schouten-w{k}", statement, {"k": k}, schouten_self(poisson_tensor(k, n))
+    # w_k . grad H_l, built once: the involution and ladder checks only read it
+    fields = {(k, l): chi_ladder(l, k, n) for k in tensors for l in range(1, n_max + 1)}
+    for k in tensors:
+        for m in range(1, n_max + 1):
+            for l in range(m, n_max + 1):
+                # {H_m, H_l} = (w_k . grad H_l)(H_m)
+                params = {"k": k, "m": m, "l": l}
+                residual = fields[k, l].apply(hamiltonian(m, n))
+                yield f"involution-w{k}-H{m}-H{l}", "{H_m, H_l} = 0 under w_k", params, residual
+    for k in range(2, n_max):
+        for l in range(1, n_max):
+            residual = fields[k, l] - fields[k - 1, l + 1]
+            statement = "w_k . grad H_l = w_{k-1} . grad H_{l+1}"
+            yield f"ladder-w{k}-H{l}", statement, {"k": k, "l": l}, residual
+    # L_{X_k} w_m = (m-k-2) w_{k+m} at two fixed corners, the same at every
+    # n_max: (k, m) = (1, 1) and (1, 2) define w_2 and w_3, so the informative
+    # cases are the Euler scaling (0, 1) and the off-construction pair (2, 1)
+    w1 = poisson_tensor(1, n)
+    euler = lie_derivative(master_field(0, n), w1) - w1.scale(-1)
+    yield "scaling-X0-w1", "L_{X_0} w_1 = -w_1 (linear entries, Euler grading)", {}, euler
+    off = lie_derivative(master_field(2, n), w1) - poisson_tensor(3, n).scale(-3)
+    yield "scaling-X2-w1", "L_{X_2} w_1 = -3 w_3", {}, off
 
 
-def suite_equivalence(ns, n_max: int) -> list[CheckResult]:
+def suite_equivalence(n: int, n_max: int):
     """[X_i, X_j] - (j-i) X_{i+j} = k chi_{i+j+1}; each k is reported.
 
     Only the pairs i < j are computed.  The bracket is exactly antisymmetric
     over Q, so the other rows are derived: the residual of (j, i) is the
     negated residual of (i, j), which gives the mirror -k, or a failure with
     the witness of the negated residual; the diagonal [X_i, X_i] = 0 =
-    0 * X_{2i} is an exact pass with k = 0.
+    0 * X_{2i} is an exact pass with k = 0.  A certified k comes with the
+    empty residual.
     """
-    out = []
-    for n in ns:
-        # (i, j) -> (k, witness); k is None exactly when the pair fails
-        rows = {}
-        for i in range(0, n_max):
-            rows[i, i] = Fraction(0), None
-            for j in range(i + 1, n_max):
-                bracket = master_field(i, n).bracket(master_field(j, n))
-                target = master_field(i + j, n).scale(j - i)
-                k = equivalent_mod_chi(bracket, target, i + j + 1)
-                if k is None:
-                    residual = bracket - target
-                    rows[i, j] = None, _witness(residual)
-                    rows[j, i] = None, _witness(-residual)
-                else:
-                    rows[i, j], rows[j, i] = (k, None), (-k, None)
-        for i in range(0, n_max):
-            for j in range(0, n_max):
-                k, witness = rows[i, j]
-                status = FAIL if k is None else EXACT if k == 0 else MOD_EQUIV
-                out.append(
-                    CheckResult(
-                        "equivalence",
-                        f"[X{i},X{j}]",
-                        "[X_i, X_j] = (j-i) X_{i+j} + k chi_{i+j+1} for some rational k",
-                        {"N": n, "i": i, "j": j},
-                        status,
-                        witness,
-                        k=None if k is None else str(k),
-                    )
-                )
-    return out
+    empty = Polynomial.zero(n)
+    # (i, j) -> (residual, k); k is None exactly when the pair fails
+    rows = {}
+    for i in range(0, n_max):
+        rows[i, i] = empty, Fraction(0)
+        for j in range(i + 1, n_max):
+            bracket = master_field(i, n).bracket(master_field(j, n))
+            target = master_field(i + j, n).scale(j - i)
+            k = equivalent_mod_chi(bracket, target, i + j + 1)
+            if k is None:
+                residual = bracket - target
+                rows[i, j], rows[j, i] = (residual, None), (-residual, None)
+            else:
+                rows[i, j], rows[j, i] = (empty, k), (empty, -k)
+    statement = "[X_i, X_j] = (j-i) X_{i+j} + k chi_{i+j+1} for some rational k"
+    for i in range(0, n_max):
+        for j in range(0, n_max):
+            yield f"[X{i},X{j}]", statement, {"i": i, "j": j}, *rows[i, j]
 
 
-# suite name -> suite(sorted sizes, n_max), in report order
+# suite name -> suite(n, n_max), in report order
 SUITES = {
     "transcription": suite_transcription,
     "hamiltonian-ladder": suite_hamiltonian_ladder,
@@ -453,10 +366,12 @@ class Report:
 
 def run_verify(config: VerifyConfig) -> Report:
     report = Report(config)
-    ns = tuple(sorted(config.ns))
-    for name, suite in SUITES.items():
-        if name in config.suites:
-            report.results.extend(suite(ns, config.n_max))
+    for suite_name, suite in SUITES.items():
+        if suite_name in config.suites:
+            for n in sorted(config.ns):
+                for name, statement, params, *outcome in suite(n, config.n_max):
+                    params = {"N": n, **params}
+                    report.results.append(_check(suite_name, name, statement, params, *outcome))
     return report
 
 

@@ -390,6 +390,17 @@ def test_simulate_symmetry_probe_abort_exits_one(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_simulate_symmetry_too_deep_to_build_exits_two(capsys, tmp_path):
+    # X_K recurses once per index; the RecursionError, a RuntimeError, used to
+    # be reported as an integration abort with exit 1
+    init = write_init(tmp_path, {"a": [1.0], "b": [0.5, -0.5]})
+    k = sys.getrecursionlimit() + 200
+    code, out, err = run_cli(capsys, ["simulate", init, "--tend", "0.1", "--symmetry", str(k)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: symmetry index {k} is too deep to build: X_K recurses once per index\n"
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -730,6 +741,30 @@ def test_symcheck_missing_key_exits_two(capsys, tmp_path, payload, key):
     assert code == 2
     assert out == ""
     assert err == f"error: bad candidate: missing key '{key}'\n"
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"N": 0, "phi": [], "psi": []}, "lattice size must be >= 2, got 0"),
+        ({"N": 1, "phi": [], "psi": [[]]}, "lattice size must be >= 2, got 1"),
+        ({"phi": [], "psi": [[]]}, "lattice size must be >= 2, got 1"),
+        (
+            {"N": 100000, "phi": [[]], "psi": [[], []]},
+            "expected 99999 phi and 100000 psi components, got 1 and 2",
+        ),
+    ],
+    ids=["size-0", "size-1", "size-1-from-psi", "size-100000-two-sites-given"],
+)
+def test_symcheck_bad_size_exits_two(capsys, tmp_path, payload, message):
+    # the size and the counts are checked before any polynomial is built: a
+    # declared N of 100000 used to build its packing layout first, for 17 s
+    path = tmp_path / "cand.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, ["symcheck", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad candidate: {message}\n"
 
 
 def test_symcheck_unknown_candidate_key_exits_two(capsys, tmp_path):

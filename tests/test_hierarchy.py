@@ -281,7 +281,8 @@ def test_schouten_certifies_w6_at_five_sites():
 
 def test_x8_at_five_sites_same_under_both_kernels(monkeypatch):
     # X_8 at N=5 (5,051 terms) rebuilt up X_k = [X_1, X_{k-1}] / (k - 2),
-    # once with dot's vectorised kernel forced off and once forced on
+    # once with dot's vectorised kernel forced off and once forced on, through
+    # its size rule: a minimum no product reaches, or both thresholds 0
     n = 5
 
     def terms_in_order(field):
@@ -289,7 +290,8 @@ def test_x8_at_five_sites_same_under_both_kernels(monkeypatch):
 
     builds = []
     for vector in (False, True):
-        monkeypatch.setattr(ratpoly, "_VECTOR_KERNEL", vector)
+        monkeypatch.setattr(ratpoly, "_VECTOR_MIN_PAIRS", 0 if vector else float("inf"))
+        monkeypatch.setattr(ratpoly, "_VECTOR_PAIRS_PER_TERM", 0)
         x = master_field(2, n)
         for k in range(3, 9):
             x = master_field(1, n).bracket(x) / (k - 2)

@@ -11,6 +11,7 @@ from todasym.ratpoly import (
     Polynomial,
     UniverseError,
     Vars,
+    _Layout,
     num_vars,
     var_names,
 )
@@ -291,3 +292,11 @@ def test_terms_view_is_read_only_mapping():
     assert sorted(p.terms) == [(0, 0, 3, 0), (1, 0, 0, 0)]
     with pytest.raises(TypeError):
         p.terms[(1, 0, 0, 0)] = 1
+
+
+def test_layout_guard_is_the_limit_in_every_field():
+    # the guard is built from bytes in linear time; the sum over the shifted
+    # fields is its definition, quadratic in N
+    for n in range(2, 41):
+        layout = _Layout(n)
+        assert layout.guard == sum(EXPONENT_LIMIT << s for s in layout.shifts), n

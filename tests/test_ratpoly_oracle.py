@@ -68,9 +68,16 @@ KERNELS = (False, True)  # dot's vectorised kernel forced off, then forced on
 
 @contextmanager
 def kernel(vector):
-    """Force the vectorised kernel of dot on (where its bounds hold) or off."""
+    """Force the vectorised kernel of dot on (where its bounds hold) or off.
+
+    Its size rule forces it: with both thresholds 0 every product takes the
+    arrays, and a minimum no product reaches keeps every product on the loop.
+    vector=None leaves the rule as it is.
+    """
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ratpoly, "_VECTOR_KERNEL", vector)
+        if vector is not None:
+            mp.setattr(ratpoly, "_VECTOR_MIN_PAIRS", 0 if vector else float("inf"))
+            mp.setattr(ratpoly, "_VECTOR_PAIRS_PER_TERM", 0)
         yield
 
 

@@ -1,5 +1,7 @@
 """Determining equations, the known catalogue, and the Y_k family."""
 
+import pytest
+
 from todasym.fields import VectorField
 from todasym.hierarchy import chi, master_field
 from todasym.lattice import hamiltonian
@@ -16,7 +18,7 @@ from todasym.symmetry import (
     total_derivative,
     verify_theorem,
 )
-from todasym.verify import suite_chi_brackets
+from todasym.verify import VerifyConfig, run_verify
 from conftest import random_polynomial
 from algebra_helpers import add_candidates, scale_candidate
 from lattice_helpers import toda_rhs
@@ -209,7 +211,8 @@ def test_lowering_field_on_chi_ladder():
 
 
 def test_bracket_with_zero_chi():
-    (case,) = [c for c in suite_chi_brackets((2,), 2) if c.name == "[X1,chi1]"]
+    config = VerifyConfig(ns=(2,), n_max=2, suites=("chi-brackets",))
+    (case,) = [c for c in run_verify(config).results if c.name == "[X1,chi1]"]
     assert case.ok  # [X_1, chi_1] = 0 = (1-1) chi_2
 
 
@@ -220,7 +223,7 @@ def test_bracket_suite_explicit_cases():
 
 
 def test_bracket_suite_grid():
-    for case in suite_chi_brackets((3,), 4):
+    for case in run_verify(VerifyConfig(ns=(3,), n_max=4, suites=("chi-brackets",))).results:
         assert case.ok, (case.name, case.witness)
 
 
@@ -229,3 +232,20 @@ def test_chi_flows_commute():
     n = 3
     for l in (1, 2, 3, 4):
         assert chi(2, n).bracket(chi(l, n)).is_zero()
+
+
+def test_candidate_json_checks_the_counts_before_any_polynomial(monkeypatch):
+    # a declared N far past the arrays given fails on the counts alone: each
+    # polynomial built for that N would cost O(N)
+    calls = []
+    real = Polynomial.from_json_terms
+    monkeypatch.setattr(
+        Polynomial, "from_json_terms", lambda n, data: calls.append(n) or real(n, data)
+    )
+    with pytest.raises(ValueError) as exc:
+        SymmetryCandidate.from_json_obj({"N": 100000, "phi": [[]], "psi": [[], []]})
+    assert str(exc.value) == "expected 99999 phi and 100000 psi components, got 1 and 2"
+    assert calls == []
+    # the counter sees the builds of a well-formed candidate: tau, phi_1, psi_1, psi_2
+    SymmetryCandidate.from_json_obj({"N": 2, "phi": [[]], "psi": [[], []]})
+    assert calls == [2, 2, 2, 2]

@@ -10,7 +10,7 @@ from todasym.lattice import hamiltonian
 from todasym.poisson import PoissonTensor, hamiltonian_field, schouten_self
 from todasym.ratpoly import Polynomial, Vars
 from todasym import hierarchy, poisson, verify
-from todasym.verify import EXACT, FAIL, VerifyConfig, _check, _witness, run_verify
+from todasym.verify import EXACT, FAIL, MOD_EQUIV, VerifyConfig, _check, _witness, run_verify
 
 v = Vars(2)
 z = v.zero
@@ -61,6 +61,25 @@ def test_witness_is_first_nonzero_slot_leading_term(residual, empty, expected):
     assert (passed.status, passed.witness) == (EXACT, None)
 
 
+@pytest.mark.parametrize(
+    "residual, k, expected",
+    [
+        (z, Fraction(0), (EXACT, None, "0")),
+        (z, Fraction(1, 2), (MOD_EQUIV, None, "1/2")),
+        (v.a(1) - v.b(2), Fraction(1, 2), (FAIL, "leading term a1", None)),
+    ],
+    ids=["k-zero", "k-half", "failure-drops-k"],
+)
+def test_check_reports_the_equivalence_multiple(residual, k, expected):
+    result = _check("suite", "name", "statement", {}, residual, k)
+    assert (result.status, result.witness, result.k) == expected
+
+
+def suite_records(suite, ns, n_max):
+    """One suite's records over the sizes ns, as run_verify reports them."""
+    return run_verify(VerifyConfig(ns=tuple(ns), n_max=n_max, suites=(suite,))).results
+
+
 def test_n_max_is_the_depth_of_chi_brackets_and_equivalence(monkeypatch):
     # one bumped coefficient of X_2 at N=3, seen only through verify's own lookups
     real = verify.master_field
@@ -96,7 +115,7 @@ def test_transcription_suite_catches_a_bumped_chi2(monkeypatch):
     bad_chi2 = VectorField.from_components(3, comps)
     monkeypatch.setattr(verify, "chi", lambda l, n: bad_chi2 if (l, n) == (2, 3) else real(l, n))
 
-    results = {r.name: r for r in verify.suite_transcription((3,), 4)}
+    results = {r.name: r for r in suite_records("transcription", (3,), 4)}
     assert [name for name, r in results.items() if not r.ok] == ["lax-commutator", "chi2-is-flow"]
     assert results["H1-casimir"].status == EXACT
     # a1*b2 - a1*b1 became 2*a1*b2 - a1*b1: the defect is the bumped term
@@ -188,7 +207,7 @@ def full_equivalence(ns, n_max):
     "ns, n_max", [((2, 3, 4, 5), 4), ((2, 3), 6)], ids=["n2to5-nmax4", "n2to3-nmax6"]
 )
 def test_equivalence_matches_the_full_computation(ns, n_max):
-    assert verify.suite_equivalence(ns, n_max) == full_equivalence(ns, n_max)
+    assert suite_records("equivalence", ns, n_max) == full_equivalence(ns, n_max)
 
 
 def _plant_x3(monkeypatch, bad_x3):
@@ -199,7 +218,7 @@ def _plant_x3(monkeypatch, bad_x3):
 def test_equivalence_mirrors_a_planted_nonzero_k(monkeypatch):
     # X_3 + chi_4 / 2 at N=3: [X1,X2] - X_3' = -chi_4 / 2, and the mirror flips k
     _plant_x3(monkeypatch, master_field(3, 3) + verify.chi(4, 3).scale(Fraction(1, 2)))
-    results = verify.suite_equivalence((3,), 4)
+    results = suite_records("equivalence", (3,), 4)
     assert results == full_equivalence((3,), 4)
     rows = {r.name: r for r in results}
     assert (rows["[X1,X2]"].status, rows["[X1,X2]"].k) == (verify.MOD_EQUIV, "-1/2")
@@ -211,7 +230,7 @@ def test_equivalence_mirrors_a_planted_failure(monkeypatch):
     comps = list(master_field(3, 3).components())
     comps[0] = verify._mutate_polynomial(comps[0], sorted(comps[0].terms)[0])
     _plant_x3(monkeypatch, VectorField.from_components(3, comps))
-    results = verify.suite_equivalence((3,), 4)
+    results = suite_records("equivalence", (3,), 4)
     assert results == full_equivalence((3,), 4)
     failed = {(r.params["i"], r.params["j"]) for r in results if not r.ok}
     assert failed and failed == {(j, i) for i, j in failed}
@@ -238,7 +257,7 @@ def test_equivalence_brackets_only_i_below_j(monkeypatch):
     brackets, lookups = [], []
     _counting(monkeypatch, VectorField, "bracket", brackets)
     _counting(monkeypatch, verify, "master_field", lookups)
-    verify.suite_equivalence((3,), 4)
+    list(verify.suite_equivalence(3, 4))
     assert len(brackets) == 6
     assert (6, 3) not in lookups
 
@@ -247,5 +266,5 @@ def test_poisson_builds_each_hamiltonian_field_once(monkeypatch):
     calls = []
     for owner in (poisson, verify, hierarchy):
         _counting(monkeypatch, owner, "hamiltonian_field", calls)
-    verify.suite_poisson((3,), 4)
+    list(verify.suite_poisson(3, 4))
     assert len(calls) == 12
