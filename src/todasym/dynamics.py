@@ -6,18 +6,25 @@ fixed step keeps drift assertions deterministic), LAPACK's symmetric
 tridiagonal eigensolver for spectra, and finite differences to measure how
 well a perturbed trajectory still satisfies the equations.  The stepper
 allocates its buffers once per run (two stage points, k1..k4 in one block,
-the weighted sum and the stored rows), binds its four stage right-hand
-sides to them, and writes every velocity, stage and update into them with
-``out=`` ufuncs in the allocating loop's order, so the states keep its
-bits.  A stage point is laid out [a | spare | b | 0 | a^2 | 0], so the Toda
+the weighted sum, a block of step states and the stored rows), binds its
+four stage right-hand sides to them, and writes every velocity, stage and
+update into them with ufuncs bound once and given their output by
+position, in the allocating loop's order, so the states keep its bits.
+A stage point is laid out [a | spare | b | 0 | a^2 | 0], so the Toda
 velocity, the in-place ``lattice.toda_velocity``, is three numpy calls; it
 leaves the b-block halved and -b_N in the spare slot.  The b-block's stage
 and update weights are doubled instead, and doubling is exact; the spare
 slot's weight is 0.  k2 and k3 are doubled in place after their last stage
 use, and the weighted sum is one reduction over the four rows of k, in the
-order ((k1 + 2 k2) + 2 k3) + k4.  The sample times are one vector
-expression built before the first step, and each stored row is written in
-the public [a | b] layout.  A spectrum is one call of LAPACK
+order ((k1 + 2 k2) + 2 k3) + k4.  The step loop tests nothing: each
+step's state goes to the next row of a block of BLOCK = 256 rows, and a
+full block, and the last, is checked in one vectorised pass (the first row
+with a non-finite entry, or with a coupling that is not positive, names the
+abort) before its stored rows are copied out in the public [a | b] layout.
+A faulty run thus takes at most 255 steps past its first fault before it
+raises.  A step takes 8-10 us at N = 4..128, where the loop that checked
+and stored each step took 11-14 us on the same host.  The sample times are one vector
+expression built before the first step.  A spectrum is one call of LAPACK
 ``dstevd``, the routine scipy's ``eigh_tridiagonal`` picks for eigenvalues
 only, without that wrapper's per-call checks; scipy is imported at the
 first spectrum, so ``verify``, ``symcheck``, ``hierarchy`` and the probe
@@ -146,9 +153,12 @@ def integrate(z0: PhasePoint, t_end: float, dt: float, *, store_stride: int = 1)
     at z0.time + t_end.  Every store_stride-th state (store_stride >= 1) and
     the final state are stored.  The sample times and the Trajectory that
     holds them are built before the first step, so a start time too large
-    for the samples to increase is refused before any work; the rows are
-    then written in place, and the four stage right-hand sides are bound
-    to the run's buffers (see ``_toda_stages``).
+    for the samples to increase is refused before any work; the four stage
+    right-hand sides are bound to the run's buffers (see ``_toda_stages``).
+    Each step writes its state to a row of a block of BLOCK rows; a full
+    block, and the last one, is checked at once and its stored rows copied
+    out, so an abort names the first faulty step after at most one block of
+    further steps.  A step takes 8-10 us at N = 4..128 (see MAX_STEPS).
     """
     steps, short = _step_count(t_end, dt)
     if store_stride < 1:
@@ -170,47 +180,67 @@ def integrate(z0: PhasePoint, t_end: float, dt: float, *, store_stride: int = 1)
     rhs1, rhs2, rhs3, rhs4 = _toda_stages(n, (x, y, y, y), ks)
     k1, k2, k3, k4 = ks
     xs, ys, acc = x[:m], y[:m], np.empty(m)
-    a, b = x[: n - 1], x[n:m]
     scale = np.ones(m)  # per component: the stage and update weights in units of h
     scale[n - 1] = 0.0  # the spare slot stays 0
     scale[n:] = 2.0  # the Toda stages leave the b-block of k halved
-    zero = np.zeros(m)  # xs . 0 is nan exactly when an entry of xs is inf or nan
-    least = np.minimum.reduce  # a.min() without its Python-level wrapper
-    weigh = np.add.reduce
-    h = dt
-    half, whole, sixth = (scale * c for c in (0.5 * h, h, h / 6.0))
-    row = 1
-    # an overflowing run is reported by the finiteness check below, not by numpy
+    block = np.empty((BLOCK, m))  # the states of one block of steps, in the stage layout
+    rows = list(block)  # its row views, made once: iterating block makes one per step
+    add, mul, weigh = np.add, np.multiply, np.add.reduce
+
+    def time_of(step: int) -> float:  # the time a step reaches, for an abort's message
+        return z0.time + (t_end if short and step == steps else step * dt)
+
+    full = steps - short
+    runs = [(0, full, dt), (full, steps, t_end - full * dt)]  # then the short step, if any
+    # an overflowing run is reported by the block check below, not by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, steps + 1):
-            last = short and step == steps
-            if last:
-                h = t_end - (step - 1) * dt
-                half, whole, sixth = (scale * c for c in (0.5 * h, h, h / 6.0))
-            rhs1()
-            np.add(xs, np.multiply(k1, half, out=ys), out=ys)
-            rhs2()
-            np.add(xs, np.multiply(k2, half, out=ys), out=ys)
-            rhs3()
-            np.add(k2, k2, out=k2)  # 2 k2, exactly
-            np.add(xs, np.multiply(k3, whole, out=ys), out=ys)
-            rhs4()
-            np.add(k3, k3, out=k3)
-            weigh(ks, 0, None, acc)  # ((k1 + 2 k2) + 2 k3) + k4, row by row
-            np.add(xs, np.multiply(acc, sixth, out=acc), out=xs)
-            nonfinite = not math.isfinite(xs.dot(zero))
-            if nonfinite or (positive_a and least(a) <= 0.0):
-                t = z0.time + (t_end if last else step * dt)
-                if nonfinite:
-                    raise RuntimeError(f"non-finite state at t={t:.6g} (step {step}); reduce dt")
-                raise RuntimeError(
-                    f"off-diagonal entry crossed zero at t={t:.6g} (step {step}); "
-                    "dt is too large for this trajectory"
-                )
-            if step % store_stride == 0 or step == steps:
-                store_a[row], store_b[row] = a, b
-                row += 1
+        for start, stop, h in runs:
+            half, whole, sixth = (scale * c for c in (0.5 * h, h, h / 6.0))
+            for first in range(start, stop, BLOCK):
+                size = min(BLOCK, stop - first)
+                for out in rows[:size]:
+                    rhs1()
+                    add(xs, mul(k1, half, ys), ys)
+                    rhs2()
+                    add(xs, mul(k2, half, ys), ys)
+                    rhs3()
+                    add(k2, k2, k2)  # 2 k2, exactly
+                    add(xs, mul(k3, whole, ys), ys)
+                    rhs4()
+                    add(k3, k3, k3)
+                    weigh(ks, 0, None, acc)  # ((k1 + 2 k2) + 2 k3) + k4, row by row
+                    add(xs, mul(acc, sixth, acc), xs)
+                    out[...] = xs
+                states = block[:size]  # steps first + 1 .. first + size
+                _check_block(states, n, positive_a, first, time_of)
+                lo, hi = np.searchsorted(marks, (first + 1, first + size + 1))
+                picked = states[marks[lo:hi] - (first + 1)]
+                store_a[lo:hi], store_b[lo:hi] = picked[:, : n - 1], picked[:, n:]
     return traj
+
+
+def _check_block(states, n, positive_a, first, time_of) -> None:
+    """Raise for the first faulty row of a block of states, steps first + 1 on.
+
+    A row is faulty when an entry is not finite, or, if every coupling
+    started positive, when an entry of a is not positive; a non-finite row
+    is reported as such even where a crossed zero too.
+    """
+    finite = np.isfinite(states).all(axis=1)
+    fault = ~finite
+    if positive_a:
+        fault |= (states[:, : n - 1] <= 0.0).any(axis=1)
+    if not fault.any():
+        return
+    i = int(fault.argmax())
+    step = first + i + 1
+    t = time_of(step)
+    if not finite[i]:
+        raise RuntimeError(f"non-finite state at t={t:.6g} (step {step}); reduce dt")
+    raise RuntimeError(
+        f"off-diagonal entry crossed zero at t={t:.6g} (step {step}); "
+        "dt is too large for this trajectory"
+    )
 
 
 def _toda_stages(n: int, points: tuple, ks: np.ndarray) -> list:
@@ -233,13 +263,16 @@ def _toda_stages(n: int, points: tuple, ks: np.ndarray) -> list:
     return stages
 
 
-# integrate takes 13-15 us per step (about 7e4 steps/s) on one core of a
-# shared 2-core Xeon host (N = 4..122), so 1e7 steps is minutes of work.  The
+# integrate takes 8-10 us per step (about 1e5 steps/s) on one core of a
+# shared 2-core Xeon host (N = 4..128), so 1e7 steps is minutes of work.  The
 # stored rows are one array sized before the first step: at store_stride 1
 # that is 8 (2N - 1) bytes per step, 20 GB for 1e7 steps at N = 128.  A
 # larger count is refused before any step runs; the longest run any caller,
-# test or demo needs is 40,000 steps.
+# test or demo needs is 40,000 steps.  The states of BLOCK steps are checked
+# and stored together; their buffer is BLOCK x 2N x 8 bytes whatever the
+# step count, 0.5 MB at N = 128.
 MAX_STEPS = 10**7
+BLOCK = 256
 
 
 def _step_count(t_end: float, dt: float) -> tuple[int, bool]:

@@ -289,6 +289,105 @@ def test_integrate_aborts_like_allocating_reference(z0, t_end, dt, message):
     assert raised[0] == raised[1]
 
 
+# -- the block check at its edges: steps are checked and stored BLOCK at a time -----
+
+CROSSING, UNSTABLE, OVERFLOW_B_N = ABORTS[0][0], ABORTS[1][0], ABORTS[4][0]
+
+BLOCK_EDGE_ABORTS = [
+    (CROSSING, 20.0, 1.1, 1, "crossed zero"),
+    # the crossing point at dt near 0.4949 overflows late, at the edge of block 1
+    (CROSSING, 400.0, 0.494926879883, 256, "non-finite"),
+    (CROSSING, 400.0, 0.494926757812, 257, "non-finite"),
+    # at dt near 0.256 it crosses zero at the edge of block 3
+    (CROSSING, 400.0, 0.2564, 768, "crossed zero"),
+    (CROSSING, 400.0, 0.256, 769, "crossed zero"),
+    # on a short last step: 5 steps of 1 and one of 0.5, 767 of 0.2564 and
+    # one of 0.1412, 768 of 0.256 and one of 0.192
+    (UNSTABLE, 5.5, 1.0, 6, "non-finite"),
+    (CROSSING, 196.9, 0.2564, 768, "crossed zero"),
+    (CROSSING, 196.8, 0.256, 769, "crossed zero"),
+    # step 1 leaves a_2 = -inf: the row both is non-finite and crossed zero
+    (OVERFLOW_B_N, 5e-8, 5e-9, 1, "non-finite"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "z0, t_end, dt, step, message",
+    BLOCK_EDGE_ABORTS,
+    ids=[
+        "step-1",
+        "last-of-block-1",
+        "first-of-block-2",
+        "last-of-block-3",
+        "first-of-block-4",
+        "short-step-6",
+        "short-last-of-block-3",
+        "short-first-of-block-4",
+        "non-finite-and-crossed",
+    ],
+)
+def test_block_edge_aborts_like_allocating_reference(z0, t_end, dt, step, message):
+    assert dynamics.BLOCK == 256  # the edges above are steps 256, 257, 768 and 769
+    raised = []
+    for run in (integrate, ref.integrate):
+        with pytest.raises(RuntimeError, match=message) as info:
+            run(z0, t_end, dt)
+        raised.append((type(info.value), str(info.value)))
+    assert f"(step {step})" in raised[0][1]
+    assert raised[0] == raised[1]
+
+
+def test_block_check_reports_the_first_faulty_row():
+    # rows are steps 11..14 of a 3-site state [a1 a2 | spare | b1 b2 b3]
+    states = np.ones((4, 6))
+    states[1, 0] = -0.5  # step 12 crossed zero
+    states[2, 4] = np.inf  # step 13 is non-finite
+
+    def time_of(step):
+        return step / 10
+
+    dynamics._check_block(states[:1], 3, True, 10, time_of)
+    with pytest.raises(RuntimeError, match=r"^off-diagonal .* at t=1\.2 \(step 12\)"):
+        dynamics._check_block(states, 3, True, 10, time_of)
+    dynamics._check_block(states[:2], 3, False, 10, time_of)  # a was not positive at the start
+    with pytest.raises(RuntimeError, match=r"^non-finite state at t=1\.3 \(step 13\)"):
+        dynamics._check_block(states, 3, False, 10, time_of)
+    states[1, 3] = np.nan  # both faults in one row: non-finite wins
+    with pytest.raises(RuntimeError, match=r"^non-finite state at t=1\.2 \(step 12\)"):
+        dynamics._check_block(states, 3, True, 10, time_of)
+
+
+@pytest.mark.parametrize(
+    "t_end, dt, stride",
+    [
+        (1.2, 0.002, 7),  # 600 steps; 7 and 100 do not divide the block size
+        (1.2, 0.002, 100),
+        (1.2011, 0.002, 7),  # 600 steps and a short one, step 601
+        (1.0251, 0.002, 5),  # 512 steps and a short one: the short step opens block 3
+        (1.024, 0.002, 1),  # 512 steps, an exact multiple of the block size
+        (1.024, 0.002, 5),
+        (1.024, 0.002, 256),
+        (1.024, 0.002, 1000),  # only the first and the final state
+    ],
+)
+def test_block_edges_keep_the_reference_bits(np_rng, t_end, dt, stride):
+    point = random_point(np_rng, 4)
+    z0 = PhasePoint(point.a, point.b, 0.25)
+    fast = integrate(z0, t_end, dt, store_stride=stride)
+    assert_same_bits(fast, ref.integrate(z0, t_end, dt, store_stride=stride))
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_zero_step_run_is_the_initial_state(stride):
+    z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0), 0.75)
+    traj = integrate(z0, 0.0, 0.1, store_stride=stride)
+    assert traj.times.tolist() == [0.75]
+    assert traj.states.tobytes() == z0.state()[np.newaxis].tobytes()
+    assert_same_bits(traj, ref.integrate(z0, 0.0, 0.1, store_stride=stride))
+
+
 def test_toda_velocity_runs_four_times_per_step(monkeypatch):
     # perfbench counts lattice.toda_velocity through the dynamics module global
     calls = []
