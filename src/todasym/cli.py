@@ -36,6 +36,12 @@ from .verify import ALL_SUITES, VerifyConfig, run_verify
 USAGE_ERROR = 2
 CHECK_ERROR = 1
 
+# the deepest tower index of simulate --symmetry and of verify and hierarchy
+# --nmax, refused above it before any build: 4x the deepest any test, demo or
+# workload builds (X_8).  Building Y_32 takes 0.04 s at N = 2, 2 s at N = 3
+# and 90 s at N = 4 on one core of a shared 2-core Xeon host.
+MAX_INDEX = 32
+
 
 def _env(name: str, default, cast):
     raw = os.environ.get(f"TODA_{name}")
@@ -197,6 +203,8 @@ def _load_json(path: str, parse_float=float) -> dict:
 
 def cmd_verify(args) -> int:
     suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
+    if args.nmax > MAX_INDEX:
+        raise BadInput(f"nmax must be <= {MAX_INDEX}, got {args.nmax}")
     try:
         config = VerifyConfig(ns=tuple(args.n), n_max=args.nmax, suites=suites)
     except ValueError as exc:
@@ -224,15 +232,9 @@ def cmd_simulate(args) -> int:
         raise BadInput("need dt > 0, tend >= 0 and eps > 0")
     if args.nmax < 1:
         raise BadInput(f"nmax must be >= 1, got {args.nmax}")
-    if args.symmetry is not None and args.symmetry < -1:
-        raise BadInput(f"symmetry index must be >= -1, got {args.symmetry}")
-    try:
-        # built outside the integrator's handler: a RecursionError is a RuntimeError
-        cand = None if args.symmetry is None else build_Y(args.symmetry, z0.n)
-    except RecursionError:
-        raise BadInput(
-            f"symmetry index {args.symmetry} is too deep to build: X_K recurses once per index"
-        )
+    if args.symmetry is not None and not -1 <= args.symmetry <= MAX_INDEX:
+        raise BadInput(f"symmetry index must be in -1..{MAX_INDEX}, got {args.symmetry}")
+    cand = None if args.symmetry is None else build_Y(args.symmetry, z0.n)
     try:
         traj = integrate(z0, args.tend, args.dt)
         if cand is not None:
@@ -273,8 +275,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_hierarchy(args) -> int:
-    if args.n < 2 or args.nmax < 1:
-        raise BadInput("need lattice size >= 2 and nmax >= 1")
+    if args.n < 2 or not 1 <= args.nmax <= MAX_INDEX:
+        raise BadInput(f"need lattice size >= 2 and 1 <= nmax <= {MAX_INDEX}")
     n, top = args.n, args.nmax
     payload = {
         "N": n,

@@ -20,10 +20,10 @@ order ((k1 + 2 k2) + 2 k3) + k4.  The step loop tests nothing: each
 step's state goes to the next row of a block of BLOCK = 256 rows, and a
 full block, and the last, is checked in one vectorised pass (the first row
 with a non-finite entry, or with a coupling that is not positive, names the
-abort) before its stored rows are copied out in the public [a | b] layout.
-A faulty run thus takes at most 255 steps past its first fault before it
-raises.  A step takes 8-10 us at N = 4..128, where the loop that checked
-and stored each step took 11-14 us on the same host.  The sample times are one vector
+abort) before it is copied to the stored rows, which hold every step in the
+public [a | b] layout.  A faulty run thus takes at most 255 steps past its
+first fault before it raises.  A step takes 8-10 us at N = 4..128.  The
+sample times, which an abort's message reads too, are one vector
 expression built before the first step.  A spectrum is one call of LAPACK
 ``dstevd``, the routine scipy's ``eigh_tridiagonal`` picks for eigenvalues
 only, without that wrapper's per-call checks; scipy is imported at the
@@ -43,10 +43,10 @@ call on a contiguous component-major copy of the samples, since its blocks
 iterate far faster than strided views of the sample-major rows.
 
 The symmetry map probe runs on one grid, length 1 from z0.time at step 5e-4
-with every 5th state sampled, and tests many candidates and eps values on
-one base trajectory; so its base run (the strided Toda trajectory, checked
-once for a uniform grid, its baseline residuals and their maximum) is
-memoised on z0, its entries and start time.
+with every 5th step of the run sampled, and tests many candidates and eps
+values on one base trajectory; so its base run (a copy of every 5th step of
+the Toda run, checked once for a uniform grid, its baseline residuals and
+their maximum) is memoised on z0, its entries and start time.
 ``integrate`` is deterministic, so a cache hit returns the very arrays a
 fresh run would.  The cache holds 8 runs, enough for the six initial points
 that a probe interleaves (one z0 is the common case); each run is a few
@@ -144,32 +144,28 @@ class Trajectory:
             writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
 
 
-def integrate(z0: PhasePoint, t_end: float, dt: float, *, store_stride: int = 1) -> Trajectory:
+def integrate(z0: PhasePoint, t_end: float, dt: float) -> Trajectory:
     """Integrate the Toda flow from z0 with fixed-step classical fourth-order Runge-Kutta.
 
     The run aborts on a non-finite state, and when couplings that all
     started positive lose positivity (dt is too coarse).  When t_end / dt
     is not whole within a relative 1e-9, a shortened last step ends exactly
-    at z0.time + t_end.  Every store_stride-th state (store_stride >= 1) and
-    the final state are stored.  The sample times and the Trajectory that
-    holds them are built before the first step, so a start time too large
-    for the samples to increase is refused before any work; the four stage
-    right-hand sides are bound to the run's buffers (see ``_toda_stages``).
-    Each step writes its state to a row of a block of BLOCK rows; a full
-    block, and the last one, is checked at once and its stored rows copied
-    out, so an abort names the first faulty step after at most one block of
-    further steps.  A step takes 8-10 us at N = 4..128 (see MAX_STEPS).
+    at z0.time + t_end.  Every state is stored.  The sample times and the
+    Trajectory that holds them are built before the first step, so a start
+    time too large for the samples to increase is refused before any work;
+    the four stage right-hand sides are bound to the run's buffers (see
+    ``_toda_stages``).  Each step writes its state to a row of a block of
+    BLOCK rows; a full block, and the last one, is checked at once and
+    copied out, so an abort names the first faulty step after at most one
+    block of further steps.  A step takes 8-10 us at N = 4..128 (see MAX_STEPS).
     """
     steps, short = _step_count(t_end, dt)
-    if store_stride < 1:
-        raise ValueError(f"store_stride must be >= 1, got {store_stride}")
     n = z0.n
-    marks = np.append(np.arange(0, steps, store_stride), steps)  # the steps stored
-    times = z0.time + marks * dt
-    times[0] = z0.time
+    times = z0.time + np.arange(steps + 1) * dt
+    times[0] = z0.time  # a start of -0.0 keeps its sign
     if short:
         times[-1] = z0.time + t_end
-    traj = Trajectory(n, times, np.empty((marks.size, 2 * n - 1)))
+    traj = Trajectory(n, times, np.empty((steps + 1, 2 * n - 1)))
     store_a, store_b = traj.states[:, : n - 1], traj.states[:, n - 1 :]
     store_a[0], store_b[0] = z0.a, z0.b
     positive_a = all(ai > 0 for ai in z0.a)
@@ -186,10 +182,6 @@ def integrate(z0: PhasePoint, t_end: float, dt: float, *, store_stride: int = 1)
     block = np.empty((BLOCK, m))  # the states of one block of steps, in the stage layout
     rows = list(block)  # its row views, made once: iterating block makes one per step
     add, mul, weigh = np.add, np.multiply, np.add.reduce
-
-    def time_of(step: int) -> float:  # the time a step reaches, for an abort's message
-        return z0.time + (t_end if short and step == steps else step * dt)
-
     full = steps - short
     runs = [(0, full, dt), (full, steps, t_end - full * dt)]  # then the short step, if any
     # an overflowing run is reported by the block check below, not by numpy
@@ -212,19 +204,19 @@ def integrate(z0: PhasePoint, t_end: float, dt: float, *, store_stride: int = 1)
                     add(xs, mul(acc, sixth, acc), xs)
                     out[...] = xs
                 states = block[:size]  # steps first + 1 .. first + size
-                _check_block(states, n, positive_a, first, time_of)
-                lo, hi = np.searchsorted(marks, (first + 1, first + size + 1))
-                picked = states[marks[lo:hi] - (first + 1)]
-                store_a[lo:hi], store_b[lo:hi] = picked[:, : n - 1], picked[:, n:]
+                _check_block(states, n, positive_a, first, times)
+                stored = slice(first + 1, first + size + 1)
+                store_a[stored], store_b[stored] = states[:, : n - 1], states[:, n:]
     return traj
 
 
-def _check_block(states, n, positive_a, first, time_of) -> None:
+def _check_block(states, n, positive_a, first, times) -> None:
     """Raise for the first faulty row of a block of states, steps first + 1 on.
 
     A row is faulty when an entry is not finite, or, if every coupling
     started positive, when an entry of a is not positive; a non-finite row
-    is reported as such even where a crossed zero too.
+    is reported as such even where a crossed zero too.  times[step] is the
+    time a step reaches, for the message.
     """
     finite = np.isfinite(states).all(axis=1)
     fault = ~finite
@@ -234,7 +226,7 @@ def _check_block(states, n, positive_a, first, time_of) -> None:
         return
     i = int(fault.argmax())
     step = first + i + 1
-    t = time_of(step)
+    t = times[step]
     if not finite[i]:
         raise RuntimeError(f"non-finite state at t={t:.6g} (step {step}); reduce dt")
     raise RuntimeError(
@@ -265,12 +257,12 @@ def _toda_stages(n: int, points: tuple, ks: np.ndarray) -> list:
 
 # integrate takes 8-10 us per step (about 1e5 steps/s) on one core of a
 # shared 2-core Xeon host (N = 4..128), so 1e7 steps is minutes of work.  The
-# stored rows are one array sized before the first step: at store_stride 1
-# that is 8 (2N - 1) bytes per step, 20 GB for 1e7 steps at N = 128.  A
-# larger count is refused before any step runs; the longest run any caller,
-# test or demo needs is 40,000 steps.  The states of BLOCK steps are checked
-# and stored together; their buffer is BLOCK x 2N x 8 bytes whatever the
-# step count, 0.5 MB at N = 128.
+# stored rows are one array sized before the first step: 8 (2N - 1) bytes
+# per step, 20 GB for 1e7 steps at N = 128.  A larger count is refused
+# before any step runs; the longest run any caller, test or demo needs is
+# 40,000 steps.  The states of BLOCK steps are checked and stored together;
+# their buffer is BLOCK x 2N x 8 bytes whatever the step count, 0.5 MB at
+# N = 128.
 MAX_STEPS = 10**7
 BLOCK = 256
 
@@ -427,8 +419,13 @@ def symmetry_map_test(cand: SymmetryCandidate, z0: PhasePoint, eps: float) -> Sy
 
 @lru_cache(maxsize=8)
 def _base_run(z0: PhasePoint) -> tuple[Trajectory, np.ndarray, float]:
-    """The strided Toda trajectory from z0, its residuals (all read-only) and their max."""
-    traj = integrate(z0, _PROBE_T_END, _PROBE_DT, store_stride=_PROBE_STRIDE)
+    """Every 5th step of the Toda run from z0, its residuals (all read-only) and their max.
+
+    The samples are copies, so the run's every-step arrays are freed.
+    """
+    run = integrate(z0, _PROBE_T_END, _PROBE_DT)
+    thin = slice(None, None, _PROBE_STRIDE)
+    traj = Trajectory(run.n, run.times[thin].copy(), run.states[thin].copy())
     h = np.diff(traj.times)
     if not np.allclose(h, h[0]):
         raise ValueError("residual grid must be uniform")

@@ -97,17 +97,13 @@ def _toda_func(x: np.ndarray) -> np.ndarray:
     return np.concatenate([da, db])
 
 
-def integrate(
-    z0: PhasePoint, t_end: float, dt: float, store_stride: int = 1
-) -> dynamics.Trajectory:
+def integrate(z0: PhasePoint, t_end: float, dt: float) -> dynamics.Trajectory:
     """Integrate the Toda flow from z0 with fixed-step classical fourth-order Runge-Kutta.
 
-    The allocating original: its states must equal ``dynamics.integrate``'s
-    bit for bit.
+    The allocating original, storing every step: its times and states must
+    equal ``dynamics.integrate``'s bit for bit.
     """
     steps, short = dynamics._step_count(t_end, dt)
-    if store_stride < 1:
-        raise ValueError(f"store_stride must be >= 1, got {store_stride}")
     n = z0.n
     positive_a = all(ai > 0 for ai in z0.a)
 
@@ -130,9 +126,8 @@ def integrate(
                 f"off-diagonal entry crossed zero at t={t:.6g} (step {step}); "
                 "dt is too large for this trajectory"
             )
-        if step % store_stride == 0 or step == steps:
-            times.append(t)
-            states.append(x.copy())
+        times.append(t)
+        states.append(x.copy())
     return dynamics.Trajectory(n, np.array(times), np.array(states))
 
 
@@ -153,11 +148,12 @@ def grid_residuals(n: int, times: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 
 def base_trajectory(z0: PhasePoint) -> dynamics.Trajectory:
-    """The probe's base run from z0: length 1 at step 5e-4, every 5th state.
+    """The probe's base run from z0: length 1 at step 5e-4, every 5th step.
 
     Integrated on every call, not read from the library's memo.
     """
-    return dynamics.integrate(z0, 1.0, 5.0e-4, store_stride=5)
+    run = dynamics.integrate(z0, 1.0, 5.0e-4)
+    return dynamics.Trajectory(run.n, run.times[::5], run.states[::5])
 
 
 def symmetry_map_test(

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from todasym import cli
 from todasym.cli import main
 from todasym.symmetry import SymmetryCandidate, build_Y, candidate_scaling, candidate_shift
 from todasym.ratpoly import EXPONENT_LIMIT, Vars
@@ -391,14 +392,57 @@ def test_simulate_symmetry_probe_abort_exits_one(capsys, tmp_path):
 
 
 def test_simulate_symmetry_too_deep_to_build_exits_two(capsys, tmp_path):
-    # X_K recurses once per index; the RecursionError, a RuntimeError, used to
-    # be reported as an integration abort with exit 1
+    # X_K recurses once per index: an index past the recursion limit must be
+    # refused as input, not raise a RecursionError (a RuntimeError) while building
     init = write_init(tmp_path, {"a": [1.0], "b": [0.5, -0.5]})
     k = sys.getrecursionlimit() + 200
     code, out, err = run_cli(capsys, ["simulate", init, "--tend", "0.1", "--symmetry", str(k)])
     assert code == 2
     assert out == ""
-    assert err == f"error: symmetry index {k} is too deep to build: X_K recurses once per index\n"
+    assert err == f"error: symmetry index must be in -1..32, got {k}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, env_nmax",
+    [
+        (["simulate", "{init}", "--tend", "0.1", "--symmetry", "33"], None),
+        (["verify", "--n", "2", "--nmax", "33"], None),
+        (["verify", "--n", "2"], "2000"),
+        (["hierarchy", "--n", "2", "--nmax", "33"], None),
+        (["hierarchy", "--n", "2"], "2000"),
+    ],
+    ids=["simulate-symmetry", "verify-nmax", "verify-env", "hierarchy-nmax", "hierarchy-env"],
+)
+def test_index_above_the_bound_exits_two_before_any_build(
+    capsys, monkeypatch, tmp_path, argv, env_nmax
+):
+    # an index past MAX_INDEX could build for hours; nothing may be built or run
+    assert cli.MAX_INDEX == 32
+    for name in ("build_Y", "run_verify", "hamiltonian", "master_field", "poisson_tensor"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("built past the bound"))
+    if env_nmax is not None:
+        monkeypatch.setenv("TODA_NMAX", env_nmax)
+    init = write_init(tmp_path, {"a": [1.0], "b": [0.5, -0.5]})
+    code, out, err = run_cli(capsys, [arg.format(init=init) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "32" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "{init}", "--tend", "0.1", "--symmetry", "32", "--json"],
+        ["verify", "--n", "2", "--nmax", "32", "--suites", "transcription", "--json"],
+        ["hierarchy", "--n", "2", "--nmax", "32"],
+    ],
+    ids=["simulate", "verify", "hierarchy"],
+)
+def test_index_at_the_bound_runs(capsys, tmp_path, argv):
+    init = write_init(tmp_path, {"a": [1.0], "b": [0.5, -0.5]})
+    code, out, err = run_cli(capsys, [arg.format(init=init) for arg in argv])
+    assert code == 0
+    assert err == "" and json.loads(out)
 
 
 @pytest.mark.parametrize(

@@ -96,13 +96,6 @@ def test_step_count_is_bounded():
         integrate(point, 1e9, 1e-3)
 
 
-@pytest.mark.parametrize("stride", [0, -1])
-def test_store_stride_below_one_rejected(stride):
-    point = PhasePoint((0.5,), (0.0, 0.0))
-    with pytest.raises(ValueError, match=f"store_stride must be >= 1, got {stride}"):
-        integrate(point, 0.1, 0.01, store_stride=stride)
-
-
 def test_sorting_behavior_two_site():
     # b_1 grows monotonically (db_1/dt = 2 a_1^2 > 0), so asymptotically the
     # diagonal carries the spectrum with the larger eigenvalue first
@@ -130,12 +123,14 @@ def test_nonfinite_abort():
         integrate(z0, 20.0, 1.0)
 
 
-def test_integrate_takes_no_field_and_a_keyword_stride():
-    # perfbench's span hook binds integrate's arguments by position, with a
-    # stale field slot fourth: a positional stride must not land in it
+def test_integrate_takes_no_field_and_no_stride():
+    # every step is stored, and a caller thins the run itself; perfbench's
+    # span hook still names stale field and store_stride slots after dt
     z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0))
     with pytest.raises(TypeError):
         integrate(z0, 1.0, 0.1, 3)
+    with pytest.raises(TypeError):
+        integrate(z0, 1.0, 0.1, store_stride=3)
     with pytest.raises(TypeError):
         integrate(z0, 1.0, 0.1, field=toda_rhs(3))
 
@@ -150,23 +145,6 @@ def test_compiled_field_matches_exact_evaluation(np_rng):
         values.update({f"b{i}": x[n - 2 + i] for i in range(1, n + 1)})
         expected = [evaluate(c, values) for c in field.components()]
         assert np.allclose(compiled(x, 0.0), expected)
-
-
-def test_store_stride():
-    z0 = PhasePoint((0.5,), (0.0, 0.0))
-    traj = integrate(z0, 1.0, 0.01, store_stride=10)
-    assert len(traj.times) == 11
-    assert traj.times[1] == pytest.approx(0.1)
-
-
-def test_store_stride_keeps_final_state():
-    # 10 steps at stride 3 store steps 3, 6 and 9, then the final step 10
-    z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0))
-    every = integrate(z0, 1.0, 0.1)
-    strided = integrate(z0, 1.0, 0.1, store_stride=3)
-    assert strided.times[-1] == 1.0
-    assert np.array_equal(strided.times, every.times[[0, 3, 6, 9, 10]])
-    assert np.array_equal(strided.states, every.states[[0, 3, 6, 9, 10]])
 
 
 def test_partial_last_step_ends_at_t_end():
@@ -216,34 +194,42 @@ def test_toda_kernel_matches_allocating_reference(np_rng, n):
     assert p[2 * n] == p[3 * n] == 0.0 and np.isnan(p[n - 1])  # the spare slot is not read
 
 
-@pytest.mark.parametrize("stride", [1, 7])
+# The start times below vary the rounding of the sample times, which the
+# abort messages read too; the states do not depend on them.
+
+
+@pytest.mark.parametrize("start", [1, 7])
 @pytest.mark.parametrize("n", [2, 3, 8, 33, 128])
-def test_integrate_matches_allocating_reference(np_rng, n, stride):
-    # 50 steps: at stride 7 the final state is stored off the stride
-    z0 = random_point(np_rng, n)
-    fast = integrate(z0, 1.0, 0.02, store_stride=stride)
-    assert_same_bits(fast, ref.integrate(z0, 1.0, 0.02, store_stride=stride))
+def test_integrate_matches_allocating_reference(np_rng, n, start):
+    # 50 steps
+    point = random_point(np_rng, n)
+    z0 = PhasePoint(point.a, point.b, start)
+    assert_same_bits(integrate(z0, 1.0, 0.02), ref.integrate(z0, 1.0, 0.02))
 
 
-@pytest.mark.parametrize("stride", [1, 7])
-def test_integrate_matches_reference_short_step_and_start_time(np_rng, stride):
-    # 1.0 / 0.03 is not whole: 33 steps of 0.03 and a short one, from t = 0.5
+@pytest.mark.parametrize("start", [1, 7])
+def test_integrate_matches_reference_short_step_and_start_time(np_rng, start):
+    # 1.0 / 0.03 is not whole: 33 steps of 0.03 and a short one ending at start + 1
     point = random_point(np_rng, 5)
-    z0 = PhasePoint(point.a, point.b, 0.5)
-    fast = integrate(z0, 1.0, 0.03, store_stride=stride)
-    assert fast.times[-1] == 1.5
-    assert_same_bits(fast, ref.integrate(z0, 1.0, 0.03, store_stride=stride))
+    z0 = PhasePoint(point.a, point.b, start)
+    fast = integrate(z0, 1.0, 0.03)
+    assert fast.times[-1] == start + 1.0
+    assert_same_bits(fast, ref.integrate(z0, 1.0, 0.03))
 
 
 @pytest.mark.parametrize("n, start", [(3, -0.0), (6, 0.5), (33, 2.25)])
-def test_integrate_matches_reference_on_the_probe_grid(np_rng, n, start):
-    # length 1 at dt = 5e-4 (2,000 steps), every 5th state stored; the first
+def test_integrate_matches_reference_on_the_probe_grid(np_rng, base_runs, n, start):
+    # the probe's base run is every 5th of 2,000 steps at dt = 5e-4; the first
     # sample time is z0.time itself, so a start of -0.0 keeps its sign bit
     point = random_point(np_rng, n)
     z0 = PhasePoint(point.a, point.b, start)
-    fast = integrate(z0, 1.0, 5e-4, store_stride=5)
-    assert len(fast.times) == 401
-    assert_same_bits(fast, ref.integrate(z0, 1.0, 5e-4, store_stride=5))
+    traj, _, _ = base_runs(z0)
+    run = ref.integrate(z0, 1.0, 5e-4)
+    assert len(traj.times) == 401
+    assert_same_bits(traj, Trajectory(n, run.times[::5], run.states[::5]))
+    # copies, not views that would keep the 2,001-row run alive
+    for array in (traj.times, traj.states):
+        assert array.base is None and array.flags.c_contiguous and not array.flags.writeable
 
 
 def test_start_time_without_increasing_samples_is_refused_before_the_first_step(monkeypatch):
@@ -345,47 +331,45 @@ def test_block_check_reports_the_first_faulty_row():
     states[1, 0] = -0.5  # step 12 crossed zero
     states[2, 4] = np.inf  # step 13 is non-finite
 
-    def time_of(step):
-        return step / 10
+    times = np.arange(15) / 10  # step k reaches t = k / 10
 
-    dynamics._check_block(states[:1], 3, True, 10, time_of)
+    dynamics._check_block(states[:1], 3, True, 10, times)
     with pytest.raises(RuntimeError, match=r"^off-diagonal .* at t=1\.2 \(step 12\)"):
-        dynamics._check_block(states, 3, True, 10, time_of)
-    dynamics._check_block(states[:2], 3, False, 10, time_of)  # a was not positive at the start
+        dynamics._check_block(states, 3, True, 10, times)
+    dynamics._check_block(states[:2], 3, False, 10, times)  # a was not positive at the start
     with pytest.raises(RuntimeError, match=r"^non-finite state at t=1\.3 \(step 13\)"):
-        dynamics._check_block(states, 3, False, 10, time_of)
+        dynamics._check_block(states, 3, False, 10, times)
     states[1, 3] = np.nan  # both faults in one row: non-finite wins
     with pytest.raises(RuntimeError, match=r"^non-finite state at t=1\.2 \(step 12\)"):
-        dynamics._check_block(states, 3, True, 10, time_of)
+        dynamics._check_block(states, 3, True, 10, times)
 
 
 @pytest.mark.parametrize(
-    "t_end, dt, stride",
+    "t_end, dt, start",
     [
-        (1.2, 0.002, 7),  # 600 steps; 7 and 100 do not divide the block size
+        (1.2, 0.002, 7),  # 600 steps: block 3 is partly filled
         (1.2, 0.002, 100),
         (1.2011, 0.002, 7),  # 600 steps and a short one, step 601
         (1.0251, 0.002, 5),  # 512 steps and a short one: the short step opens block 3
         (1.024, 0.002, 1),  # 512 steps, an exact multiple of the block size
         (1.024, 0.002, 5),
         (1.024, 0.002, 256),
-        (1.024, 0.002, 1000),  # only the first and the final state
+        (1.024, 0.002, 1000),
     ],
 )
-def test_block_edges_keep_the_reference_bits(np_rng, t_end, dt, stride):
+def test_block_edges_keep_the_reference_bits(np_rng, t_end, dt, start):
     point = random_point(np_rng, 4)
-    z0 = PhasePoint(point.a, point.b, 0.25)
-    fast = integrate(z0, t_end, dt, store_stride=stride)
-    assert_same_bits(fast, ref.integrate(z0, t_end, dt, store_stride=stride))
+    z0 = PhasePoint(point.a, point.b, start)
+    assert_same_bits(integrate(z0, t_end, dt), ref.integrate(z0, t_end, dt))
 
 
-@pytest.mark.parametrize("stride", [1, 3])
-def test_zero_step_run_is_the_initial_state(stride):
-    z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0), 0.75)
-    traj = integrate(z0, 0.0, 0.1, store_stride=stride)
-    assert traj.times.tolist() == [0.75]
+@pytest.mark.parametrize("start", [1, 3])
+def test_zero_step_run_is_the_initial_state(start):
+    z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0), start)
+    traj = integrate(z0, 0.0, 0.1)
+    assert traj.times.tolist() == [start]
     assert traj.states.tobytes() == z0.state()[np.newaxis].tobytes()
-    assert_same_bits(traj, ref.integrate(z0, 0.0, 0.1, store_stride=stride))
+    assert_same_bits(traj, ref.integrate(z0, 0.0, 0.1))
 
 
 def test_toda_velocity_runs_four_times_per_step(monkeypatch):
@@ -399,14 +383,14 @@ def test_toda_velocity_runs_four_times_per_step(monkeypatch):
 
     monkeypatch.setattr(dynamics, "toda_velocity", counted)
     z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0))
-    traced = integrate(z0, 1.0, 0.3, store_stride=2)  # three steps of 0.3, one of 0.1
+    traced = integrate(z0, 1.0, 0.3)  # three steps of 0.3, one of 0.1
     assert len(calls) == 4 * 4
-    assert list(traced.times) == [0.0, 0.6, 1.0]
+    assert list(traced.times[::2]) == [0.0, 0.6, 1.0]
     calls.clear()
     integrate(z0, 1.0, 0.1)
     assert len(calls) == 4 * 10
     monkeypatch.undo()
-    assert_same_bits(traced, integrate(z0, 1.0, 0.3, store_stride=2))
+    assert_same_bits(traced, integrate(z0, 1.0, 0.3))
 
 
 # -- order of accuracy -----------------------------------------------------------------
@@ -802,9 +786,14 @@ def test_aborted_base_run_is_not_cached(base_runs, integrations):
 # -- one-matrix field and one-call residuals against the reference loops ----------------
 
 
+def every_kth_step(traj, k):
+    """Every k-th sample of a run, copied to contiguous arrays."""
+    return Trajectory(traj.n, traj.times[::k].copy(), traj.states[::k].copy())
+
+
 def oracle_states(np_rng, n):
     z0 = random_point(np_rng, n)
-    return integrate(z0, 1.0, 1e-2, store_stride=10)
+    return every_kth_step(integrate(z0, 1.0, 1e-2), 10)
 
 
 def assert_fields_agree(field, traj):
@@ -883,7 +872,7 @@ def test_constant_field_is_its_coefficients(np_rng):
 
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_grid_residuals_match_reference(np_rng, n):
-    traj = integrate(random_point(np_rng, n), 0.5, 1e-3, store_stride=5)
+    traj = every_kth_step(integrate(random_point(np_rng, n), 0.5, 1e-3), 5)
     shifts = CompiledField(build_Y(2, n).as_field())
     perturbed = traj.states + 1e-3 * np.array(
         [shifts(x, float(t)) for x, t in zip(traj.states, traj.times)]
