@@ -232,6 +232,8 @@ def cmd_simulate(args) -> int:
         raise BadInput("need dt > 0, tend >= 0 and eps > 0")
     if args.nmax < 1:
         raise BadInput(f"nmax must be >= 1, got {args.nmax}")
+    if args.nmax > MAX_INDEX:
+        raise BadInput(f"nmax must be <= {MAX_INDEX}, got {args.nmax}")
     if args.symmetry is not None and not -1 <= args.symmetry <= MAX_INDEX:
         raise BadInput(f"symmetry index must be in -1..{MAX_INDEX}, got {args.symmetry}")
     cand = None if args.symmetry is None else build_Y(args.symmetry, z0.n)
@@ -239,12 +241,12 @@ def cmd_simulate(args) -> int:
         traj = integrate(z0, args.tend, args.dt)
         if cand is not None:
             probe = symmetry_map_test(cand, z0, args.eps)
+        report = drift_report(traj, args.nmax)
     except ValueError as exc:
         raise BadInput(str(exc))
     except RuntimeError as exc:
         print(f"integration aborted: {exc}", file=sys.stderr)
         return CHECK_ERROR
-    report = drift_report(traj, args.nmax)
     if args.out:
         with _output(args.out) as handle:
             traj.write_csv(handle)

@@ -55,24 +55,24 @@ read-only, so no caller can corrupt a later probe.  Failed runs are not
 cached: an aborting integration raises again on every call.
 
 A candidate's shifts Y(z(t), t) on the base run do not depend on eps, and
-every probe tests each (candidate, z0) at several eps, so the shifts are
-memoised too, keyed on the candidate's identity and z0.  The key is the
+every probe tests each candidate at several eps, so each base run also
+memoises its shifts, keyed on the candidate object.  The key is the
 object, not its value: two equal candidates may hold their terms in another
 order, and CompiledField then sums them in another order, which can move a
 shift by an ulp; an identity key keeps the promise that a hit returns the
 very array a fresh evaluation would.  Each entry holds its candidate, so
-its id cannot be reused while the entry lives.  The memo holds the 64 most
-recently used pairs (8 base runs x 8 candidates), at most
-64 x 401 x (2N - 1) x 8 bytes, about 2.3 MB at N = 6; the arrays are
-read-only.  Only the eps-dependent part, the displaced curve's residuals
-and their maxima, runs on every call, so results keep their bits.
+its id cannot be reused while the entry lives.  A run keeps the shifts of
+its 8 most recently used candidates (every probe tests at most 6 per z0),
+at most 8 x 401 x (2N - 1) x 8 bytes per run, about 0.3 MB at N = 6, and
+they go with the run; the arrays are read-only.  Only the eps-dependent part, the
+displaced curve's residuals and their maxima, runs on every call, so
+results keep their bits.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import IO
@@ -335,7 +335,11 @@ class DriftReport:
 
 
 def drift_report(traj: Trajectory, m_max: int, stride: int = 1) -> DriftReport:
-    """Compare eigenvalues and H_1..H_{m_max} of each sample to the first."""
+    """Compare eigenvalues and H_1..H_{m_max} of each sample to the first.
+
+    An H_m drift that is not finite (the eigenvalues' m-th powers overflow a
+    float) raises ValueError naming m; it is never reported as NaN or inf.
+    """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     if stride < 1:
@@ -343,9 +347,12 @@ def drift_report(traj: Trajectory, m_max: int, stride: int = 1) -> DriftReport:
     spectra = _spectra(traj.n, traj.states[::stride])
     eig_drift = float(np.max(np.abs(spectra - spectra[0])))
     h_drift = {}
-    for m in range(1, m_max + 1):
-        values = np.sum(spectra**m, axis=1) / m
-        h_drift[m] = float(np.max(np.abs(values - values[0])))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        for m in range(1, m_max + 1):
+            values = np.sum(spectra**m, axis=1) / m
+            h_drift[m] = float(np.max(np.abs(values - values[0])))
+            if not math.isfinite(h_drift[m]):
+                raise ValueError(f"H_{m} drift is not finite: the eigenvalues' powers overflow")
     return DriftReport(eig_drift, h_drift)
 
 
@@ -392,8 +399,8 @@ def symmetry_map_test(cand: SymmetryCandidate, z0: PhasePoint, eps: float) -> Sy
     z(t) is displaced to z(t) + eps * Y(z(t), t), and the displaced curve's
     time derivative (central differences on the sample grid) is compared
     against the flow.  The base trajectory and its residuals come from a run
-    memoised on z0, and the shifts Y(z(t), t) from a memo keyed on the
-    candidate object and z0 (see the module docstring).  A non-finite or
+    memoised on z0, and the shifts Y(z(t), t) from that run's memo, keyed on
+    the candidate object (see the module docstring).  A non-finite or
     non-positive eps, a candidate with tau != 0 or another lattice size than
     z0 raise ValueError, and so does a start time so large that the float
     sample times are not uniform.
@@ -404,8 +411,8 @@ def symmetry_map_test(cand: SymmetryCandidate, z0: PhasePoint, eps: float) -> Sy
         raise ValueError("the map test applies to evolutionary candidates (tau = 0)")
     if cand.n != z0.n:
         raise ValueError(f"the candidate has N={cand.n} but z0 has N={z0.n}")
-    traj, baseline, baseline_residual = _base_run(z0)
-    shifts = _shifts(cand, z0, traj)
+    traj, baseline, baseline_residual, memo = _base_run(z0)
+    shifts = _shifts(cand, traj, memo)
     perturbed = _grid_residuals(traj.n, traj.times, traj.states + eps * shifts)
     return SymmetryMapResult(
         eps=eps,
@@ -418,10 +425,12 @@ def symmetry_map_test(cand: SymmetryCandidate, z0: PhasePoint, eps: float) -> Sy
 
 
 @lru_cache(maxsize=8)
-def _base_run(z0: PhasePoint) -> tuple[Trajectory, np.ndarray, float]:
-    """Every 5th step of the Toda run from z0, its residuals (all read-only) and their max.
+def _base_run(z0: PhasePoint) -> tuple[Trajectory, np.ndarray, float, dict]:
+    """The probe's base run from z0: samples, their residuals and max, and a shifts memo.
 
-    The samples are copies, so the run's every-step arrays are freed.
+    The samples are copies of every 5th step of the Toda run, so the run's
+    every-step arrays are freed; they and the residuals are read-only.  The
+    memo starts empty; ``_shifts`` fills it.
     """
     run = integrate(z0, _PROBE_T_END, _PROBE_DT)
     thin = slice(None, None, _PROBE_STRIDE)
@@ -432,26 +441,24 @@ def _base_run(z0: PhasePoint) -> tuple[Trajectory, np.ndarray, float]:
     baseline = _grid_residuals(traj.n, traj.times, traj.states)
     for array in (traj.times, traj.states, baseline):
         array.flags.writeable = False
-    return traj, baseline, float(np.max(np.abs(baseline)))
+    return traj, baseline, float(np.max(np.abs(baseline))), {}
 
 
-# (id(cand), z0) -> (cand, shifts), least recently used first; see the module docstring
-_SHIFTS: OrderedDict = OrderedDict()
-_SHIFTS_MAX = 64  # 8 base runs x 8 candidates
+def _shifts(cand: SymmetryCandidate, traj: Trajectory, memo: dict) -> np.ndarray:
+    """The candidate's field on every sample of a base run, read-only.
 
-
-def _shifts(cand: SymmetryCandidate, z0: PhasePoint, traj: Trajectory) -> np.ndarray:
-    """The candidate's field on every sample of the base run from z0, read-only."""
-    key = (id(cand), z0)
-    if key in _SHIFTS:
-        _SHIFTS.move_to_end(key)
-        return _SHIFTS[key][1]
-    shifts = CompiledField(cand.as_field())(traj.states, traj.times)
-    shifts.flags.writeable = False
-    _SHIFTS[key] = cand, shifts
-    if len(_SHIFTS) > _SHIFTS_MAX:
-        _SHIFTS.popitem(last=False)
-    return shifts
+    memo maps id(cand) -> (cand, shifts) for the run's 8 most recently used
+    candidates, least recently used first; see the module docstring.
+    """
+    entry = memo.pop(id(cand), None)  # put back last below: the most recently used
+    if entry is None:
+        shifts = CompiledField(cand.as_field())(traj.states, traj.times)
+        shifts.flags.writeable = False
+        entry = cand, shifts
+        if len(memo) == 8:
+            del memo[next(iter(memo))]
+    memo[id(cand)] = entry
+    return entry[1]
 
 
 def _grid_residuals(n: int, times: np.ndarray, states: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Sequence
 from .ratpoly import Polynomial, UniverseError
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class VectorField:
     """Components over the 2N-1 phase directions, a-block then b-block."""
 
@@ -49,11 +49,6 @@ class VectorField:
 
     def is_autonomous(self) -> bool:
         return not any(c.involves("t") for c in self.components())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.n == other.n and self.a == other.a and self.b == other.b
 
     # -- linear structure ----------------------------------------------------
 

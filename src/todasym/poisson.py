@@ -37,31 +37,30 @@ from .ratpoly import Polynomial, UniverseError
 Row = dict[int, Polynomial]
 
 
+@dataclass(frozen=True)
 class PoissonTensor:
     """Immutable antisymmetric 2-tensor: its nonzero entries w^ij with i < j.
 
-    ``PoissonTensor(n, {(i, j): w^ij})`` drops zero entries; ``upper`` holds
-    the rest in index order.
+    ``PoissonTensor(n, {(i, j): w^ij})`` checks each index pair and entry
+    universe and drops zero entries; ``upper`` holds the rest in index
+    order.  Equality is by value; a tensor is not hashable.
     """
 
-    __slots__ = ("n", "upper")
+    n: int
+    upper: Mapping[tuple[int, int], Polynomial]
 
-    def __init__(self, n: int, upper: Mapping[tuple[int, int], Polynomial]):
-        dim = 2 * n - 1
+    def __post_init__(self):
+        dim = 2 * self.n - 1
         kept: dict[tuple[int, int], Polynomial] = {}
-        for i, j in sorted(upper):
+        for i, j in sorted(self.upper):
             if not 0 <= i < j < dim:
                 raise ValueError(f"upper entry index ({i}, {j}) out of range")
-            poly = upper[(i, j)]
-            if poly.n != n:
+            poly = self.upper[(i, j)]
+            if poly.n != self.n:
                 raise UniverseError("entry universe does not match tensor size")
             if poly:
                 kept[(i, j)] = poly
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "upper", kept)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PoissonTensor is immutable")
 
     def entry(self, i: int, j: int) -> Polynomial:
         """w^ij for any index pair."""
@@ -75,13 +74,6 @@ class PoissonTensor:
 
     def is_zero(self) -> bool:
         return not self.upper
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PoissonTensor):
-            return NotImplemented
-        return self.n == other.n and self.upper == other.upper
-
-    __hash__ = None
 
     def __add__(self, other: "PoissonTensor") -> "PoissonTensor":
         self._check(other)
@@ -111,20 +103,15 @@ class PoissonTensor:
     def to_json_obj(self) -> dict:
         """Dense form: the full (2N-1)x(2N-1) matrix, both triangles.
 
-        A lower entry is its upper mirror's terms, in the same order, with
-        every coefficient's sign flipped.
+        A lower entry is the terms of its upper mirror's negation, which
+        ``to_json_terms`` lists in the mirror's order.
         """
         dim = self.dim()
         matrix = [[[] for _ in range(dim)] for _ in range(dim)]
         for (i, j), poly in self.upper.items():
-            terms = matrix[i][j] = poly.to_json_terms()
-            matrix[j][i] = [{"coeff": _negated(t["coeff"]), "exps": dict(t["exps"])} for t in terms]
+            matrix[i][j] = poly.to_json_terms()
+            matrix[j][i] = (-poly).to_json_terms()
         return {"N": self.n, "matrix": matrix}
-
-
-def _negated(coeff: str) -> str:
-    """The JSON coefficient string of -c, for a nonzero c."""
-    return coeff[1:] if coeff[0] == "-" else "-" + coeff
 
 
 @dataclass(frozen=True)

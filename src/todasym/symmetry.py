@@ -37,7 +37,7 @@ from .hierarchy import chi, master_field
 from .ratpoly import Polynomial, Vars, check_json_keys
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SymmetryCandidate:
     """Coefficients (tau, phi_1..phi_{N-1}, psi_1..psi_N) of a generator."""
 
@@ -64,16 +64,6 @@ class SymmetryCandidate:
     @classmethod
     def from_field(cls, field: VectorField) -> "SymmetryCandidate":
         return cls(field.n, Polynomial.zero(field.n), field.a, field.b)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymmetryCandidate):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.tau == other.tau
-            and self.phi == other.phi
-            and self.psi == other.psi
-        )
 
     def to_json_obj(self) -> dict:
         return {

@@ -483,6 +483,41 @@ def test_simulate_env_nmax_below_one_exits_two(capsys, monkeypatch, tmp_path):
     assert err == "error: nmax must be >= 1, got -5\n"
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["table", "json"])
+def test_simulate_nonfinite_h_drift_exits_two(tmp_path, json_flag):
+    # eigenvalues near +-1e10: their 31st powers overflow, so H_31 is not
+    # finite; one error line, no NaN on stdout and no numpy warning
+    init = write_init(tmp_path, {"a": [0.0], "b": [1e10, -1e10]})
+    argv = ["simulate", init, "--tend", "0", "--nmax", "32", "--assert", "--tol", "1e-8"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "todasym", *argv, *json_flag],
+        capture_output=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: H_31 drift is not finite: the eigenvalues' powers overflow\n"
+
+
+@pytest.mark.parametrize(
+    "argv, env_nmax",
+    [(["--nmax", "33"], None), ([], "33")],
+    ids=["flag", "env"],
+)
+def test_simulate_nmax_above_the_bound_exits_two_before_any_step(
+    capsys, monkeypatch, tmp_path, argv, env_nmax
+):
+    monkeypatch.setattr(cli, "integrate", lambda *args: pytest.fail("integrated past the bound"))
+    if env_nmax is not None:
+        monkeypatch.setenv("TODA_NMAX", env_nmax)
+    init = write_init(tmp_path, {"a": [1.0], "b": [0.5, -0.5]})
+    code, out, err = run_cli(capsys, ["simulate", init, "--tend", "0.1", *argv])
+    assert code == 2
+    assert out == ""
+    assert err == "error: nmax must be <= 32, got 33\n"
+
+
 def test_simulate_nonfinite_abort_is_one_stderr_line(tmp_path):
     # dt = 1 is past RK4's stability limit and the state overflows at step 6;
     # the abort message is all of stderr, with no numpy warning before it

@@ -223,7 +223,7 @@ def test_integrate_matches_reference_on_the_probe_grid(np_rng, base_runs, n, sta
     # sample time is z0.time itself, so a start of -0.0 keeps its sign bit
     point = random_point(np_rng, n)
     z0 = PhasePoint(point.a, point.b, start)
-    traj, _, _ = base_runs(z0)
+    traj = base_runs(z0)[0]
     run = ref.integrate(z0, 1.0, 5e-4)
     assert len(traj.times) == 401
     assert_same_bits(traj, Trajectory(n, run.times[::5], run.states[::5]))
@@ -592,12 +592,10 @@ def test_symmetry_map_rejects_nonzero_tau():
 
 @pytest.fixture
 def base_runs():
-    """The base-run memo, emptied before and after the test with the shifts memo."""
+    """The base-run memo, which holds each run's shifts memo, emptied before and after the test."""
     dynamics._base_run.cache_clear()
-    dynamics._SHIFTS.clear()
     yield dynamics._base_run
     dynamics._base_run.cache_clear()
-    dynamics._SHIFTS.clear()
 
 
 @pytest.fixture
@@ -691,12 +689,12 @@ def test_equal_candidate_is_compiled_anew(base_runs, builds):
     symmetry_map_test(cand, z0, 1e-3)
     memoised = symmetry_map_test(copy, z0, 1e-3)
     assert len(builds) == 2
-    traj, _, _ = base_runs(z0)
-    cached = dynamics._SHIFTS[id(copy), z0][1]
+    traj, _, _, memo = base_runs(z0)
+    cached = memo[id(copy)][1]
     fresh = CompiledField(copy.as_field())(traj.states, traj.times)
     np.testing.assert_array_equal(cached, fresh)
-    assert not np.array_equal(dynamics._SHIFTS[id(cand), z0][1], fresh)
-    dynamics._SHIFTS.clear()
+    assert not np.array_equal(memo[id(cand)][1], fresh)
+    memo.clear()
     assert symmetry_map_test(copy, z0, 1e-3) == memoised
 
 
@@ -704,18 +702,33 @@ def test_shifts_memo_evicts_least_recently_used(base_runs, builds):
     n = 2
     v = Vars(n)
     z0 = PhasePoint((0.5,), (0.1, -0.1))
-    cands = [SymmetryCandidate(n, v.zero, (v.zero,), (v.const(i), v.zero)) for i in range(65)]
-    for cand in cands[:64]:
+    cands = [SymmetryCandidate(n, v.zero, (v.zero,), (v.const(i), v.zero)) for i in range(9)]
+    for cand in cands[:8]:
         symmetry_map_test(cand, z0, 1e-3)
     symmetry_map_test(cands[0], z0, 1e-3)  # a hit: cands[1] is now the oldest
-    assert len(builds) == 64
-    symmetry_map_test(cands[64], z0, 1e-3)
-    assert len(dynamics._SHIFTS) == 64
-    assert (id(cands[0]), z0) in dynamics._SHIFTS
-    assert (id(cands[1]), z0) not in dynamics._SHIFTS
+    assert len(builds) == 8
+    symmetry_map_test(cands[8], z0, 1e-3)
+    memo = base_runs(z0)[3]
+    assert len(memo) == 8
+    assert id(cands[0]) in memo
+    assert id(cands[1]) not in memo
     symmetry_map_test(cands[1], z0, 1e-3)  # evicted, so compiled again
-    assert len(builds) == 66
-    assert (id(cands[2]), z0) not in dynamics._SHIFTS
+    assert len(builds) == 10
+    assert id(cands[2]) not in memo
+
+
+def test_shifts_memo_goes_with_its_base_run(base_runs, builds):
+    # each run holds its own candidates' shifts; evicting the run drops them
+    cand = build_Y(1, 2)
+    points = [PhasePoint((0.5,), (0.1, 0.05 * i)) for i in range(9)]
+    symmetry_map_test(cand, points[0], 1e-3)
+    symmetry_map_test(cand, points[1], 1e-3)
+    assert len(builds) == 2
+    assert [len(base_runs(z0)[3]) for z0 in points[:2]] == [1, 1]
+    for z0 in points[2:]:  # 7 more runs evict the one from points[0]
+        symmetry_map_test(cand, z0, 1e-3)
+    symmetry_map_test(cand, points[0], 1e-3)
+    assert len(builds) == 10
 
 
 def test_base_run_key_covers_every_grid_parameter(base_runs, integrations):
@@ -750,9 +763,9 @@ def test_base_run_arrays_are_read_only(base_runs):
     z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0))
     cand = build_Y(1, 3)
     symmetry_map_test(cand, z0, 1e-3)
-    traj, baseline, _ = base_runs(z0)
+    traj, baseline, _, memo = base_runs(z0)
     assert base_runs.cache_info().hits == 1
-    held, shifts = dynamics._SHIFTS[id(cand), z0]  # the memoised shifts too
+    held, shifts = memo[id(cand)]  # the memoised shifts too
     assert held is cand
     for array in (traj.times, traj.states, baseline, shifts):
         with pytest.raises(ValueError, match="read-only"):
@@ -768,7 +781,7 @@ def test_probe_hit_computes_only_the_perturbed_residuals(base_runs, monkeypatch)
     z0 = PhasePoint((0.5, 0.3), (0.1, -0.2, 0.0))
     results = [symmetry_map_test(build_Y(1, 3), z0, eps) for eps in PROBE_EPS]
     assert len(calls) == 1 + len(PROBE_EPS) and len(checks) == 1
-    _, baseline, baseline_residual = base_runs(z0)
+    _, baseline, baseline_residual, _ = base_runs(z0)
     assert {r.baseline_residual for r in results} == {float(np.max(np.abs(baseline)))}
     assert type(baseline_residual) is float
 
